@@ -82,6 +82,22 @@ class FloodModel:
         frac = self.max_flood_fraction * severity
         return float(np.quantile(alts, frac))
 
+    def waterline_table(self, severity: np.ndarray) -> np.ndarray:
+        """:meth:`waterline_m` over a (regions, times) grid of severities.
+
+        Row i of ``severity`` holds ``severity_fn(partition.region_ids[i], t)``
+        at each time column; entry (i, j) of the result then equals
+        ``waterline_m(region_ids[i], t_j)`` bit-for-bit, with one quantile
+        call per region instead of one per entry.
+        """
+        severity = np.clip(np.asarray(severity, dtype=float), 0.0, 1.0)
+        out = np.empty_like(severity)
+        for i, rid in enumerate(self.partition.region_ids):
+            alts = self._region_alt_samples[rid]
+            row = np.quantile(alts, self.max_flood_fraction * severity[i])
+            out[i] = np.where(severity[i] <= 0.0, float(alts[0]) - 1.0, row)
+        return out
+
     def is_flooded(self, x: float, y: float, t_seconds: float) -> bool:
         """Whether a plane point is inside a flood zone at time ``t``."""
         rid = self.partition.region_of(x, y)

@@ -35,11 +35,10 @@ from repro.geo.regions import RegionPartition
 from repro.geo.terrain import TerrainField
 from repro.hospitals.hospitals import Hospital
 from repro.mobility.person import Person
-from repro.mobility.routes import RouteCache
+from repro.mobility.routes import RouteArrays, RouteCache
 from repro.mobility.trace import GpsTrace, RescueRecord, TraversalLog
 from repro.mobility.trips import PlannedTrip, TripModel, TripModelConfig
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.routing import Route
 from repro.weather.fields import RegionWeatherField
 from repro.weather.storms import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -81,6 +80,31 @@ class TraceConfig:
     trip_model: TripModelConfig = field(default_factory=TripModelConfig)
     seed: int = 37
 
+    def __post_init__(self) -> None:
+        if self.trip_fix_interval_s <= 0:
+            raise ValueError("trip_fix_interval_s must be positive")
+        for name in ("gps_noise_sigma_m", "altitude_noise_sigma_m"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        for name in (
+            "duplicate_rate",
+            "outlier_rate",
+            "trap_probability",
+            "normal_hospital_visit_prob",
+        ):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1]")
+        for name in (
+            "depth_tolerance_range_m",
+            "request_delay_range_s",
+            "delivery_delay_range_s",
+            "hospital_stay_range_s",
+            "normal_hospital_stay_range_s",
+        ):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValueError(f"{name} must satisfy lo <= hi")
+
 
 @dataclass
 class TraceBundle:
@@ -102,35 +126,96 @@ class TraceBundle:
         return [r for r in self.rescues if t0 <= r.request_time_s < t1]
 
 
-class _Buffers:
-    """Column accumulators for fixes and traversals."""
+#: Fix rows per assembly block.  Bounds the (rows, regions, 2) temporary of
+#: :meth:`TerrainField.altitude_many` and the float64 chunks held before
+#: they are cast, at any population size.
+BLOCK_ROWS = 16_384
 
-    def __init__(self) -> None:
-        self.pid: list[np.ndarray] = []
-        self.t: list[np.ndarray] = []
-        self.x: list[np.ndarray] = []
-        self.y: list[np.ndarray] = []
-        self.alt: list[np.ndarray] = []
-        self.speed: list[np.ndarray] = []
+
+class _Buffers:
+    """Column accumulators for fixes and traversals.
+
+    Fix chunks are kept as drawn (float64) until a block of about
+    ``block_rows`` rows has gathered.  The block is then sealed: the
+    altitude of its move chunks, a function of their float64 coordinates
+    only, is computed in one :meth:`TerrainField.altitude_many` call, and
+    each column is cast and concatenated once.
+    """
+
+    def __init__(self, terrain: TerrainField, block_rows: int = BLOCK_ROWS) -> None:
+        self.terrain = terrain
+        self.block_rows = block_rows
+        self._blocks: list[GpsTrace] = []
+        self._start_block()
         self.trav_t: list[np.ndarray] = []
         self.trav_seg: list[np.ndarray] = []
 
-    def add_fixes(self, pid, t, x, y, alt, speed) -> None:
-        n = len(t)
-        if n == 0:
+    def _start_block(self) -> None:
+        self._pid: list[int] = []
+        self._n: list[int] = []
+        self._t: list[np.ndarray] = []
+        self._x: list[np.ndarray] = []
+        self._y: list[np.ndarray] = []
+        self._alt: list[np.ndarray | None] = []
+        self._speed: list[np.ndarray] = []
+        self._rows = 0
+
+    def add_fixes(self, pid, t, x, y, speed, alt=None) -> None:
+        """Append one chunk; ``alt=None`` defers its altitude to the terrain."""
+        self._pid.append(pid)
+        self._n.append(len(t))
+        self._t.append(t)
+        self._x.append(x)
+        self._y.append(y)
+        self._speed.append(speed)
+        self._alt.append(alt)
+        self._rows += len(t)
+        if self._rows >= self.block_rows:
+            self._seal_block()
+
+    def _seal_block(self) -> None:
+        if not self._rows:
             return
-        self.pid.append(np.full(n, pid, dtype=np.int32))
-        self.t.append(np.asarray(t, dtype=np.float64))
-        self.x.append(np.asarray(x, dtype=np.float32))
-        self.y.append(np.asarray(y, dtype=np.float32))
-        self.alt.append(np.asarray(alt, dtype=np.float32))
-        self.speed.append(np.asarray(speed, dtype=np.float32))
+        moves = [i for i, a in enumerate(self._alt) if a is None]
+        if moves:
+            xy = np.column_stack(
+                [
+                    np.concatenate([self._x[i] for i in moves]),
+                    np.concatenate([self._y[i] for i in moves]),
+                ]
+            )
+            alt = self.terrain.altitude_many(xy)
+            cuts = np.cumsum([self._n[i] for i in moves[:-1]])
+            for i, chunk in zip(moves, np.split(alt, cuts)):
+                self._alt[i] = chunk
+
+        def f32(chunks):
+            return np.concatenate(chunks, dtype=np.float32, casting="same_kind")
+
+        self._blocks.append(
+            GpsTrace(
+                np.repeat(np.array(self._pid, dtype=np.int32), self._n),
+                np.concatenate(self._t),
+                f32(self._x),
+                f32(self._y),
+                f32(self._alt),
+                f32(self._speed),
+            )
+        )
+        self._start_block()
 
     def add_traversals(self, t, seg) -> None:
-        if len(t) == 0:
-            return
-        self.trav_t.append(np.asarray(t, dtype=np.float64))
-        self.trav_seg.append(np.asarray(seg, dtype=np.int32))
+        self.trav_t.append(t)
+        self.trav_seg.append(seg)
+
+    def trace(self) -> GpsTrace:
+        self._seal_block()
+        return GpsTrace.concatenate(self._blocks)
+
+    def traversals(self) -> TraversalLog:
+        if not self.trav_t:
+            return TraversalLog.empty()
+        return TraversalLog(np.concatenate(self.trav_t), np.concatenate(self.trav_seg))
 
 
 class MobilityTraceGenerator:
@@ -148,6 +233,8 @@ class MobilityTraceGenerator:
     ) -> None:
         if not hospitals:
             raise ValueError("at least one hospital is required")
+        if flood.severity_fn != weather.severity:
+            raise ValueError("the flood model must be driven by the weather field's severity")
         self.network = network
         self.partition = partition
         self.terrain = terrain
@@ -165,10 +252,12 @@ class MobilityTraceGenerator:
     # -- precomputed lookup tables ------------------------------------------
 
     def _precompute_tables(self) -> None:
+        """Every quantity the per-person loop reads that draws no random
+        number: landmark positions and regions, and the hourly weather,
+        severity and flood-depth tables."""
         net = self.network
         node_ids = net.landmark_ids()
         self._node_index = {n: i for i, n in enumerate(node_ids)}
-        self._node_ids = np.array(node_ids)
         self._node_xy = np.array([net.landmark(n).xy for n in node_ids])
         self._node_alt = self.terrain.altitude_many(self._node_xy)
         self._node_region = self.partition.region_of_many(self._node_xy)
@@ -177,26 +266,20 @@ class MobilityTraceGenerator:
         )
 
         hours = int(self.timeline.total_days * 24) + 1
-        rids = self.partition.region_ids
-        rindex = {r: i for i, r in enumerate(rids)}
-        precip = np.zeros((len(rids), hours))
-        wind = np.zeros((len(rids), hours))
-        waterline = np.zeros((len(rids), hours))
-        for h in range(hours):
-            t = h * SECONDS_PER_HOUR
-            for r in rids:
-                i = rindex[r]
-                precip[i, h] = self.weather.factor_precipitation_mm_per_h(r, t)
-                wind[i, h] = self.weather.factor_wind_mph(r, t)
-                waterline[i, h] = self.flood.waterline_m(r, t)
+        times = np.arange(hours) * SECONDS_PER_HOUR
+        rindex = {r: i for i, r in enumerate(self.partition.region_ids)}
         self._rindex = rindex
-        self._precip = precip
-        self._wind = wind
+        self._precip = self.weather.factor_precipitation_table(times)
+        self._wind = self.weather.factor_wind_table(times)
+        severity = self.weather.severity_table(times)
+        waterline = self.flood.waterline_table(severity)
         self._hours = hours
 
         node_r = np.array([rindex[int(r)] for r in self._node_region])
+        rows = severity.tolist()
+        #: Hourly severity of each landmark's region, keyed by landmark id.
+        self._node_hourly_severity = {n: rows[r] for n, r in zip(node_ids, node_r)}
         flooded = waterline[node_r, :] >= self._node_alt[:, None]  # (nodes, hours)
-        self._node_flooded = flooded
         #: Water depth over each landmark per hour, meters (0 when dry).
         self._node_depth = np.maximum(0.0, waterline[node_r, :] - self._node_alt[:, None])
         self._node_ever_flooded = flooded.any(axis=1)
@@ -209,18 +292,11 @@ class MobilityTraceGenerator:
         else:
             self._flood_window = (float("inf"), float("-inf"))
 
-        sev = np.zeros((len(rids), hours))
-        for h in range(hours):
-            for r in rids:
-                sev[rindex[r], h] = self.weather.severity(r, h * SECONDS_PER_HOUR)
-        self._severity = sev
-
     def _hour(self, t: float) -> int:
         return min(self._hours - 1, max(0, int(t // SECONDS_PER_HOUR)))
 
     def _node_severity(self, node: int, t: float) -> float:
-        i = self._node_index[node]
-        return float(self._severity[self._rindex[int(self._node_region[i])], self._hour(t)])
+        return self._node_hourly_severity[node][self._hour(t)]
 
     def node_factor_vector(self, node: int, t: float) -> tuple[float, float, float]:
         """Disaster-related factors (P, W, A) at a landmark and time."""
@@ -234,6 +310,12 @@ class MobilityTraceGenerator:
         )
 
     # -- emission helpers ----------------------------------------------------
+    #
+    # RNG contract: every random draw below is made in the order, and with
+    # the arguments, of the per-fix formulation (x noise, y noise, then
+    # altitude or speed noise, per stay or drive).  Work that draws nothing
+    # (segment timing, interpolation, move-fix altitude, dtype casts) may be
+    # hoisted or batched freely; draws may not be merged or reordered.
 
     def _emit_stay(
         self,
@@ -248,16 +330,16 @@ class MobilityTraceGenerator:
         if t1 <= t0:
             return
         ts = np.arange(t0, t1, interval_s)
-        if ts.size == 0:
+        n = ts.size
+        if n == 0:
             return
         i = self._node_index[node]
         cfg = self.config
-        n = ts.size
         x = self._node_xy[i, 0] + rng.normal(0.0, cfg.gps_noise_sigma_m, n)
         y = self._node_xy[i, 1] + rng.normal(0.0, cfg.gps_noise_sigma_m, n)
         alt = self._node_alt[i] + rng.normal(0.0, cfg.altitude_noise_sigma_m, n)
         speed = np.abs(rng.normal(0.0, 0.3, n))
-        out.add_fixes(pid, ts, x, y, alt, speed)
+        out.add_fixes(pid, ts, x, y, speed, alt)
 
     def _speed_multiplier(self, t: float) -> float:
         return 1.0 - self.config.storm_slowdown * self.timeline.flood_level(t)
@@ -266,37 +348,37 @@ class MobilityTraceGenerator:
         self,
         pid: int,
         t0: float,
-        route: Route,
+        route: RouteArrays,
         rng: np.random.Generator,
         out: _Buffers,
     ) -> float:
         """Drive ``route`` starting at ``t0``; returns arrival time."""
         mult = max(0.2, self._speed_multiplier(t0))
-        seg_times = np.array(
-            [self.network.segment(s).free_flow_time_s / mult for s in route.segment_ids]
-        )
-        entries = t0 + np.concatenate([[0.0], np.cumsum(seg_times)[:-1]])
+        seg_times = route.free_flow_time_s / mult
+        k = seg_times.size
+        node_times = np.empty(k + 1)
+        node_times[0] = 0.0
+        seg_times.cumsum(out=node_times[1:])
+        node_times += t0
+        # A pairwise sum, which can differ from the sequential cumsum's end.
         arrival = t0 + float(seg_times.sum())
-        out.add_traversals(entries, np.array(route.segment_ids))
+        out.add_traversals(node_times[:-1], route.segment_ids)
 
         cfg = self.config
         ts = np.arange(t0, arrival, cfg.trip_fix_interval_s)
-        if ts.size:
-            node_times = t0 + np.concatenate([[0.0], np.cumsum(seg_times)])
-            nxy = np.array([self.network.landmark(n).xy for n in route.nodes])
-            x = np.interp(ts, node_times, nxy[:, 0]) + rng.normal(
-                0.0, cfg.gps_noise_sigma_m, ts.size
+        n = ts.size
+        if n:
+            x = np.interp(ts, node_times, route.node_x) + rng.normal(
+                0.0, cfg.gps_noise_sigma_m, n
             )
-            y = np.interp(ts, node_times, nxy[:, 1]) + rng.normal(
-                0.0, cfg.gps_noise_sigma_m, ts.size
+            y = np.interp(ts, node_times, route.node_y) + rng.normal(
+                0.0, cfg.gps_noise_sigma_m, n
             )
-            alt = self.terrain.altitude_many(np.column_stack([x, y]))
-            seg_speed = np.array(
-                [self.network.segment(s).speed_limit_mps * mult for s in route.segment_ids]
-            )
-            idx = np.clip(np.searchsorted(node_times, ts, side="right") - 1, 0, len(seg_speed) - 1)
-            speed = seg_speed[idx] + rng.normal(0.0, 0.5, ts.size)
-            out.add_fixes(pid, ts, x, y, alt, np.abs(speed))
+            # Fixes past the cumsum's end (see ``arrival``) keep the last segment.
+            idx = np.searchsorted(node_times, ts, side="right") - 1
+            np.minimum(idx, k - 1, out=idx)
+            speed = route.speed_limit_mps[idx] * mult + rng.normal(0.0, 0.5, n)
+            out.add_fixes(pid, ts, x, y, np.abs(speed, out=speed))
         return arrival
 
     # -- trapping ground truth -----------------------------------------------
@@ -362,17 +444,17 @@ class MobilityTraceGenerator:
         request_t = trap_t + rng.uniform(*cfg.request_delay_range_s)
         delivery_target = request_t + rng.uniform(*cfg.delivery_delay_range_s)
         hosp_node = self._nearest_hospital_node(node)
-        ride = self.route_cache.route(node, hosp_node)
+        ride = self.route_cache.arrays(node, hosp_node)
 
         i = self._node_index[node]
         end = self.timeline.duration_s
 
-        if ride is None or ride.is_trivial:
+        if ride is None:
             ride_depart = min(delivery_target, end)
             self._emit_stay(pid, stay_start, ride_depart, node, person.gps_interval_s, rng, out)
             delivered = ride_depart
         else:
-            ride_depart = max(request_t, delivery_target - ride.travel_time_s)
+            ride_depart = max(request_t, delivery_target - ride.route.travel_time_s)
             self._emit_stay(pid, stay_start, ride_depart, node, person.gps_interval_s, rng, out)
             delivered = self._emit_move(pid, ride_depart, ride, rng, out)
 
@@ -394,8 +476,8 @@ class MobilityTraceGenerator:
         self._emit_stay(pid, delivered, discharge, hosp_node, person.gps_interval_s, rng, out)
         if discharge >= end:
             return end
-        home_ride = self.route_cache.route(hosp_node, person.home_node)
-        if home_ride is None or home_ride.is_trivial:
+        home_ride = self.route_cache.arrays(hosp_node, person.home_node)
+        if home_ride is None:
             return discharge
         return self._emit_move(pid, discharge, home_ride, rng, out)
 
@@ -443,8 +525,8 @@ class MobilityTraceGenerator:
                         rescued = True
                         continue
                 self._emit_stay(pid, t, trip.depart_s, cur, person.gps_interval_s, rng, out)
-                route = self.route_cache.route(trip.src, trip.dst)
-                if route is None or route.is_trivial:
+                route = self.route_cache.arrays(trip.src, trip.dst)
+                if route is None:
                     t = trip.depart_s
                     continue
                 t = self._emit_move(pid, trip.depart_s, route, rng, out)
@@ -461,24 +543,13 @@ class MobilityTraceGenerator:
 
     def generate(self, persons: list[Person]) -> TraceBundle:
         """Simulate all persons and assemble the raw dataset."""
-        out = _Buffers()
+        out = _Buffers(self.terrain)
         rescues: list[RescueRecord] = []
         for person in persons:
             self._simulate_person(person, out, rescues)
 
-        trace = GpsTrace(
-            np.concatenate(out.pid) if out.pid else np.zeros(0),
-            np.concatenate(out.t) if out.t else np.zeros(0),
-            np.concatenate(out.x) if out.x else np.zeros(0),
-            np.concatenate(out.y) if out.y else np.zeros(0),
-            np.concatenate(out.alt) if out.alt else np.zeros(0),
-            np.concatenate(out.speed) if out.speed else np.zeros(0),
-        )
-        trace = self._dirty(trace)
-        traversals = TraversalLog(
-            np.concatenate(out.trav_t) if out.trav_t else np.zeros(0),
-            np.concatenate(out.trav_seg) if out.trav_seg else np.zeros(0),
-        )
+        trace = self._dirty(out.trace())
+        traversals = out.traversals()
         rescues.sort(key=lambda r: r.request_time_s)
         return TraceBundle(trace=trace, traversals=traversals, rescues=rescues, persons=persons)
 

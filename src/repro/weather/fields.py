@@ -8,6 +8,8 @@ and the region disaster severity that drives flooding and trip suppression.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.geo.regions import RegionPartition
 from repro.weather.storms import SECONDS_PER_HOUR, StormTimeline
 
@@ -80,3 +82,35 @@ class RegionWeatherField:
     def severity_fn(self):
         """``(region_id, t_seconds) -> severity`` closure for the flood model."""
         return self.severity
+
+    # -- (region, time) tables --------------------------------------------------
+    #
+    # Each table equals its scalar method above bit-for-bit: row i is region
+    # ``partition.region_ids[i]``, column j is ``times_s[j]``.  The storm
+    # timeline is evaluated once per time and the region profile once per
+    # region; the product is the same IEEE multiply the scalar form does.
+
+    def _profile_column(self, attr: str) -> np.ndarray:
+        part = self.partition
+        return np.array([[getattr(part.profile(r), attr)] for r in part.region_ids])
+
+    def _timeline_row(self, fn, times_s) -> np.ndarray:
+        return np.array([fn(float(t)) for t in times_s])
+
+    def factor_precipitation_table(self, times_s) -> np.ndarray:
+        """:meth:`factor_precipitation_mm_per_h` over regions × ``times_s``."""
+        flood = self._timeline_row(self.timeline.flood_level, times_s)
+        return self._profile_column("precipitation_mm") * flood
+
+    def factor_wind_table(self, times_s) -> np.ndarray:
+        """:meth:`factor_wind_mph` over regions × ``times_s``."""
+        strength = np.maximum(
+            self._timeline_row(self.timeline.intensity, times_s),
+            0.5 * self._timeline_row(self.timeline.flood_level, times_s),
+        )
+        return np.maximum(5.0, self._profile_column("wind_mph") * strength)
+
+    def severity_table(self, times_s) -> np.ndarray:
+        """:meth:`severity` over regions × ``times_s``."""
+        flood = self._timeline_row(self.timeline.flood_level, times_s)
+        return self._profile_column("severity") * flood

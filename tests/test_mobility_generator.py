@@ -1,28 +1,101 @@
-"""Focused tests for the trace generator's configuration knobs."""
+"""Focused tests for the trace generator: pinned output, precomputed
+tables and configuration knobs."""
+
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.data.charlotte import build_charlotte_scenario
-from repro.mobility.generator import MobilityTraceGenerator, TraceConfig
+from repro.geo.flood import FloodModel
+from repro.mobility.generator import MobilityTraceGenerator, TraceConfig, _Buffers
 from repro.mobility.population import PopulationConfig, generate_population
+from repro.mobility.trace import GpsTrace, RescueRecord
 from repro.roadnet.generator import RoadNetworkConfig
-from repro.weather.storms import MICHAEL, SECONDS_PER_DAY
+from repro.weather.storms import FLORENCE, MICHAEL, SECONDS_PER_DAY, SECONDS_PER_HOUR
+
+#: SHA-256 of every output column of ``TraceConfig()`` over 200 people on
+#: the 8x8 test city.  Any change to the generator's output — a reordered
+#: draw, a different rounding — changes these.  RescueRecord fields are
+#: hashed as float64, which holds every id exactly.
+PINNED_DIGESTS = {
+    "michael": {
+        "trace.person_id": "3674e32dfc8290cc02799d59a7c8deebed0ce0794acd613776f2d251cdbf48e2",
+        "trace.t": "0a6a51b17d21858176e58bfd13e6b4a14ffa9cb71447977e12c7472b5852699e",
+        "trace.x": "8f16d9573106909456c8133a1fd0b1ee2536dab2cfe5c7b71b378d02aed61481",
+        "trace.y": "006987ccbbc969769df69be0c569e18758ded8a001d8085950558030f41bb9e5",
+        "trace.altitude": "9d4d5644286918f035cd1485cd4e462bd4b72f486a3f15d074754966e8d49bf3",
+        "trace.speed": "010767691e1cc89fce3b186f719b1831c924669e4a1d9da352aae15c4d800210",
+        "traversals.t": "249a2687be34474097521033a0b097deda3710497c632030ea7815017ef6eab3",
+        "traversals.segment_id": "774a3f4e9645697e9f1e68f75202c941d51b67a59dcfb237436c574c647af195",
+        "rescues.person_id": "22fcd3331dfbba1bc785c6fe3cfd80b781c060d1430969a451bf8d8d7da298ce",
+        "rescues.trap_time_s": "58d4cc42865c20ad18dc84aafe3f82c309899f26073883dcad03dea587fc8d21",
+        "rescues.request_time_s": "81e443df07290eb15bfce6f142ad3b136e1502e28405fcd8d8d0680d2d4e616d",
+        "rescues.trap_node": "98f85eeb25cfcfea621eb5471a29a937dd79de184f20dc3f216dc8f57a7722ff",
+        "rescues.trap_segment": "249be280258a9cb37607eafa3ea69f5512e780258ad3e72010f4382c79815d59",
+        "rescues.region_id": "630e93643a0016afbeb5a8192ae75fc7842c86748b69364119bf91350114003c",
+        "rescues.factors": "8b8b2d41b53c466e4c386b97455fd71261e8fb01974ff855ce0e0e4b1158207d",
+        "rescues.hospital_node": "f0ab10ac8a76ada414bc4e3c72576d48ebdcb12d532c8a4da6d02fb43f5a0b03",
+        "rescues.delivery_time_s": "6b6a3dbc13d68e32876fff37951ae4ebcc719d9f351b6481a75f04954db06d8c",
+    },
+    "florence": {
+        "trace.person_id": "57cf8bd02b20c5f959c163856fabbfe8055a918fc492a3e57f9b82aae5032808",
+        "trace.t": "85c3020dab5d1d0ed38449308c3bdedc0459cc099110351724981f55fd24946d",
+        "trace.x": "7c2b33c12701aceadfe969079d7109bcde35b1a79276baed102be50c9305ec7a",
+        "trace.y": "32e7880df7ced8cf17061d0de5ed8ddd02cd7e6e717352bd2ce001aace16857b",
+        "trace.altitude": "b662c0f26af09a1883b46e3ebad14e4ee652e2b023067ba7cbe3bd43e0ccaa56",
+        "trace.speed": "21998f09dd9e982eb97368a1c4888c4356cf3dcc1728c7457ca62f2da9f3a002",
+        "traversals.t": "bd9c7404c84ecc5d0942c70678e9991dc71513cd2667872810e33391910ea898",
+        "traversals.segment_id": "34bd9968e7c376e8067305e13e40f4b3650da2530d53ec52d0a911cfc296558f",
+        "rescues.person_id": "9d94b28a0d0880c68f3a9c6f7de48dbb1a6ef5522390ee896a3478b766cd6289",
+        "rescues.trap_time_s": "2d39fb212134155a6a2666f81781f5b28731889ca05b93a140a0e73b028e36fc",
+        "rescues.request_time_s": "0bbe3f73ccfd432d8a892147671a5f8c6976588547c6a99e5b6d51e2cbca90de",
+        "rescues.trap_node": "01fd85e63f2ab4eb21a936e9f9ed1d0266bd12086bdbc2ee5cd3ed8b20836523",
+        "rescues.trap_segment": "bb5c9d6cc2d79fe6b46d474fc218b8f84e24f520b67eb221178487573b96bbdf",
+        "rescues.region_id": "52bedcd038da8ecc787bd8c4bb3d9a822c47252d2ffe0ea59d7858a2886b7f07",
+        "rescues.factors": "56b8db561cac3c8ac799dcca743ebc2d1c72d79ec15bb572f7788a531024f552",
+        "rescues.hospital_node": "24e3112386bb6d0b6b649241bc106ad607d8601ca9509dcb54a67da7d6df0d38",
+        "rescues.delivery_time_s": "5186687b90d67e8b98628259a1b7a05bc2b5ac5415d56a9fe4431f38d587202a",
+    },
+}
+
+
+def column_digests(bundle) -> dict[str, str]:
+    cols = {f"trace.{c}": getattr(bundle.trace, c) for c in GpsTrace.COLUMNS}
+    cols["traversals.t"] = bundle.traversals.t
+    cols["traversals.segment_id"] = bundle.traversals.segment_id
+    for f in dataclasses.fields(RescueRecord):
+        cols[f"rescues.{f.name}"] = np.asarray(
+            [getattr(r, f.name) for r in bundle.rescues], dtype=np.float64
+        )
+    return {
+        name: hashlib.sha256(np.ascontiguousarray(col).tobytes()).hexdigest()
+        for name, col in cols.items()
+    }
+
+
+def small_city(storm):
+    return build_charlotte_scenario(storm, RoadNetworkConfig(grid_cols=8, grid_rows=8))
+
+
+def people(scen, size):
+    return generate_population(
+        scen.network,
+        scen.partition,
+        PopulationConfig(size=size),
+        excluded_nodes=frozenset(h.node_id for h in scen.hospitals),
+    )
 
 
 @pytest.fixture(scope="module")
 def scen():
-    return build_charlotte_scenario(MICHAEL, RoadNetworkConfig(grid_cols=8, grid_rows=8))
+    return small_city(MICHAEL)
 
 
 @pytest.fixture(scope="module")
 def persons(scen):
-    return generate_population(
-        scen.network,
-        scen.partition,
-        PopulationConfig(size=80),
-        excluded_nodes=frozenset(h.node_id for h in scen.hospitals),
-    )
+    return people(scen, 80)
 
 
 def make_generator(scen, **config_kwargs):
@@ -37,14 +110,118 @@ def make_generator(scen, **config_kwargs):
     )
 
 
+@pytest.mark.parametrize("storm", [MICHAEL, FLORENCE], ids=lambda s: s.name.lower())
+def test_output_matches_pinned_digests(storm):
+    """Bit-identity proof of the generator: every column and record field
+    hashes to the value pinned before its emission path was batched."""
+    city = small_city(storm)
+    bundle = make_generator(city).generate(people(city, 200))
+    assert bundle.rescues, "the pinned build must exercise the rescue path"
+    assert column_digests(bundle) == PINNED_DIGESTS[storm.name.lower()]
+
+
+class TestPrecomputedTables:
+    def test_weather_and_flood_tables_match_scalar_calls(self, scen):
+        field, flood = scen.weather_field, scen.flood
+        times = np.arange(int(scen.timeline.total_days * 24) + 1) * SECONDS_PER_HOUR
+        severity = field.severity_table(times)
+        # Both waterline branches occur: dry hours and quantile hours.
+        assert (severity <= 0.0).any() and (severity > 0.0).any()
+        tables = {
+            field.factor_precipitation_mm_per_h: field.factor_precipitation_table(times),
+            field.factor_wind_mph: field.factor_wind_table(times),
+            field.severity: severity,
+            flood.waterline_m: flood.waterline_table(severity),
+        }
+        for scalar, table in tables.items():
+            assert table.shape == (len(scen.partition.region_ids), times.size)
+            expected = np.array(
+                [[scalar(r, float(t)) for t in times] for r in scen.partition.region_ids]
+            )
+            # Bit-for-bit: compare the raw float64 patterns, not values.
+            np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
+
+    def test_block_batched_altitude_equals_per_move_calls(self, scen):
+        """Move-fix altitude computed a block of moves at a time equals one
+        ``altitude_many`` call per move, bit-for-bit."""
+        rng = np.random.default_rng(5)
+        moves = [
+            rng.uniform(0.0, 1.0, (size, 2)) * (scen.partition.width_m, scen.partition.height_m)
+            for size in rng.integers(1, 40, 25)
+        ]
+        blocked = scen.terrain.altitude_many(np.concatenate(moves))
+        per_move = np.concatenate([scen.terrain.altitude_many(xy) for xy in moves])
+        np.testing.assert_array_equal(blocked.view(np.int64), per_move.view(np.int64))
+
+        # The buffers route each move's share of a block back to its rows,
+        # across stays interleaved with moves and several sealed blocks.
+        out = _Buffers(scen.terrain, block_rows=64)
+        expected_alt, expected_pid = [], []
+        for pid, xy in enumerate(moves):
+            n, ts, still = len(xy), np.arange(len(xy), dtype=float), np.zeros(len(xy))
+            if pid % 3 == 0:
+                stay_alt = rng.normal(200.0, 5.0, n)
+                out.add_fixes(pid, ts, xy[:, 0], xy[:, 1], still, stay_alt)
+                expected_alt.append(stay_alt)
+                expected_pid += [pid] * n
+            out.add_fixes(pid, ts, xy[:, 0], xy[:, 1], still)
+            expected_alt.append(scen.terrain.altitude_many(xy))
+            expected_pid += [pid] * n
+        trace = out.trace()
+        assert len(trace) > 3 * out.block_rows
+        np.testing.assert_array_equal(
+            trace.altitude, np.concatenate(expected_alt).astype(np.float32)
+        )
+        np.testing.assert_array_equal(trace.person_id, expected_pid)
+
+
 class TestGeneratorConfig:
     def test_determinism(self, scen, persons):
         a = make_generator(scen, seed=11).generate(persons)
         b = make_generator(scen, seed=11).generate(persons)
-        assert len(a.trace) == len(b.trace)
-        assert len(a.rescues) == len(b.rescues)
-        np.testing.assert_array_equal(a.trace.t[:500], b.trace.t[:500])
-        assert [r.person_id for r in a.rescues] == [r.person_id for r in b.rescues]
+        assert column_digests(a) == column_digests(b)
+        for col in GpsTrace.COLUMNS:
+            np.testing.assert_array_equal(getattr(a.trace, col), getattr(b.trace, col))
+        np.testing.assert_array_equal(a.traversals.t, b.traversals.t)
+        np.testing.assert_array_equal(a.traversals.segment_id, b.traversals.segment_id)
+        assert a.rescues == b.rescues
+        assert a.persons == b.persons
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"trip_fix_interval_s": 0.0},
+            {"trip_fix_interval_s": -60.0},
+            {"gps_noise_sigma_m": -1.0},
+            {"altitude_noise_sigma_m": -0.1},
+            {"duplicate_rate": -0.01},
+            {"outlier_rate": -0.01},
+            {"outlier_rate": 1.5},
+            {"trap_probability": 1.01},
+            {"normal_hospital_visit_prob": -0.2},
+            {"depth_tolerance_range_m": (2.5, 0.3)},
+            {"request_delay_range_s": (600.0, 300.0)},
+            {"delivery_delay_range_s": (7_200.0, 3_600.0)},
+            {"hospital_stay_range_s": (3.0, 2.0)},
+            {"normal_hospital_stay_range_s": (3.0, 2.0)},
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_invalid_config_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TraceConfig(**bad)
+
+    def test_flood_must_follow_weather_severity(self, scen):
+        foreign = FloodModel(scen.terrain, lambda r, t: 0.5, grid_resolution=20)
+        with pytest.raises(ValueError, match="severity"):
+            MobilityTraceGenerator(
+                scen.network,
+                scen.partition,
+                scen.terrain,
+                scen.weather_field,
+                foreign,
+                scen.hospitals,
+            )
 
     def test_seed_changes_outcome(self, scen, persons):
         a = make_generator(scen, seed=11).generate(persons)

@@ -147,3 +147,19 @@ class TestRouteCache:
         cache.route(0, 5)
         cache.route(5, 0)
         assert len(cache) == 2
+
+    def test_arrays_follow_the_route(self, network):
+        cache = RouteCache(network)
+        arrays = cache.arrays(0, 5)
+        route = cache.route(0, 5)
+        assert arrays.route is route
+        assert arrays is cache.arrays(0, 5)
+        assert arrays.segment_ids.tolist() == list(route.segment_ids)
+        segments = [network.segment(s) for s in route.segment_ids]
+        assert arrays.free_flow_time_s.tolist() == [s.free_flow_time_s for s in segments]
+        assert arrays.speed_limit_mps.tolist() == [s.speed_limit_mps for s in segments]
+        xy = [network.landmark(n).xy for n in route.nodes]
+        assert list(zip(arrays.node_x.tolist(), arrays.node_y.tolist())) == xy
+
+    def test_arrays_of_trivial_route_is_none(self, network):
+        assert RouteCache(network).arrays(5, 5) is None
