@@ -65,13 +65,10 @@ def build_training_set(
         raise ValueError("negatives_per_positive must be >= 1")
     rng = np.random.default_rng(seed)
     part = scenario.partition
+    clean, _ = clean_trace(bundle.trace, part.width_m, part.height_m)
     if matched is None:
-        clean, _ = clean_trace(bundle.trace, part.width_m, part.height_m)
         matched = map_match(clean, scenario.network)
-        deliveries = detect_deliveries(clean, scenario.network, scenario.hospitals)
-    else:
-        clean, _ = clean_trace(bundle.trace, part.width_m, part.height_m)
-        deliveries = detect_deliveries(clean, scenario.network, scenario.hospitals)
+    deliveries = detect_deliveries(clean, scenario.network, scenario.hospitals)
 
     weather = scenario.weather
     pos_x: list[np.ndarray] = []
@@ -145,10 +142,23 @@ class RequestPredictor:
         net = scenario.network
         node_ids = net.landmark_ids()
         self._node_index = {n: i for i, n in enumerate(node_ids)}
-        self._node_xy = np.array([net.landmark(n).xy for n in node_ids])
+        self._node_ids = np.array(node_ids, dtype=np.int64)
+        node_xy = np.array([net.landmark(n).xy for n in node_ids])
         self._node_segment = np.array(
             [net.nearest_segment(*net.landmark(n).xy) for n in node_ids]
         )
+        # Static landmark tables: altitude and region slot never change, so
+        # a dispatch cycle only evaluates the 7 region-level weather factors
+        # and waterlines and gathers them by slot (the same floats the
+        # per-point factor_vectors / is_flooded_many paths produce).
+        weather, flood = scenario.weather, scenario.flood
+        self._node_alt = weather.terrain.altitude_many(node_xy)
+        self._node_flood_alt = (
+            self._node_alt
+            if flood.terrain is weather.terrain
+            else flood.terrain.altitude_many(node_xy)
+        )
+        self._node_slot = weather.partition.region_slot_many(node_xy)
 
     @property
     def is_fitted(self) -> bool:
@@ -169,6 +179,7 @@ class RequestPredictor:
         other = RequestPredictor(
             scenario, kernel=self.svm.kernel_name, flood_gated=self.flood_gated
         )
+        other.flood_forecast_horizon_s = self.flood_forecast_horizon_s
         other.scaler = self.scaler
         other.svm = self.svm
         return other
@@ -190,24 +201,39 @@ class RequestPredictor:
         network disagree — exactly the corruption the service ingest guard
         quarantines upstream (``unknown_person``/``unknown_node`` codes).
         """
-        if not nodes:
+        if len(nodes) == 0:
             return np.zeros(0, dtype=int)
-        try:
-            idx = np.array([self._node_index[n] for n in nodes])
-        except KeyError as exc:
-            raise ValueError(
-                f"unknown landmark id {exc.args[0]!r} in position feed"
-            ) from exc
-        factors = self.scenario.weather.factor_vectors(self._node_xy[idx], t_s)
+        return self._labels_at(self._landmark_rows(nodes), t_s)
+
+    def _landmark_rows(self, nodes) -> np.ndarray:
+        """Row of each landmark id in the static tables (``ValueError`` on
+        an id the scenario does not have)."""
+        ids = np.asarray(nodes)
+        if ids.dtype.kind not in "iu":
+            raise ValueError(f"landmark ids must be integers, got {ids.dtype}")
+        table = self._node_ids
+        rows = np.searchsorted(table, ids)
+        known = rows < len(table)
+        known[known] = table[rows[known]] == ids[known]
+        if not known.all():
+            bad = ids[int(np.argmin(known))].item()
+            raise ValueError(f"unknown landmark id {bad!r} in position feed")
+        return rows
+
+    def _labels_at(self, rows: np.ndarray, t_s: float) -> np.ndarray:
+        """Eq. 1 for the landmarks at ``rows`` of the static tables."""
+        slots = self._node_slot[rows]
+        precip, wind = self.scenario.weather.region_factors(t_s)
+        factors = np.column_stack([precip[slots], wind[slots], self._node_alt[rows]])
         labels = self.predict_labels(factors)
         if self.flood_gated:
             # Gate on current flood imaging OR the short-horizon forecast:
             # rivers are forecast hours ahead, and a person whose position
             # floods this afternoon is a potential rescue request now.
             flood = self.scenario.flood
-            xy = self._node_xy[idx]
-            flooded = flood.is_flooded_many(xy, t_s) | flood.is_flooded_many(
-                xy, t_s + self.flood_forecast_horizon_s
+            alt = self._node_flood_alt[rows]
+            flooded = (alt <= flood.waterlines(t_s)[slots]) | (
+                alt <= flood.waterlines(t_s + self.flood_forecast_horizon_s)[slots]
             )
             labels = labels & flooded.astype(int)
         return labels
@@ -229,10 +255,9 @@ class RequestPredictor:
             person_nodes.values(), dtype=np.int64, count=len(person_nodes)
         )
         uniq, counts = np.unique(occupied, return_counts=True)
-        nodes = [int(n) for n in uniq]
-        labels = np.asarray(self.predict_node_labels(nodes, t_s))
-        idx = np.array([self._node_index[n] for n in nodes], dtype=np.int64)
-        segs = self._node_segment[idx]
+        rows = self._landmark_rows(uniq)
+        labels = np.asarray(self._labels_at(rows, t_s))
+        segs = self._node_segment[rows]
         pos = labels == 1
         dist: dict[int, int] = {}
         for seg, n in zip(segs[pos], counts[pos]):

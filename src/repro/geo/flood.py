@@ -14,6 +14,7 @@ serves both the Florence evaluation storm and the Michael training storm.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
@@ -34,6 +35,13 @@ class FloodModel:
     altitude distribution.
     """
 
+    #: Times whose region waterline vector :meth:`waterlines` keeps: a
+    #: day of 300 s dispatch cycles plus the predictor's 12 h forecast
+    #: horizon is 432 times, so the vector one cycle computes for
+    #: ``t + horizon`` is still here when the clock reaches it.  About
+    #: 300 bytes an entry.
+    WATERLINE_MEMO = 512
+
     def __init__(
         self,
         terrain: TerrainField,
@@ -50,6 +58,7 @@ class FloodModel:
         self.severity_fn = severity_fn
         self.max_flood_fraction = float(max_flood_fraction)
         self._region_alt_samples = self._sample_region_altitudes(grid_resolution)
+        self._waterline_memo: OrderedDict[float, np.ndarray] = OrderedDict()
 
     def _sample_region_altitudes(self, n: int) -> dict[int, np.ndarray]:
         part = self.partition
@@ -103,18 +112,38 @@ class FloodModel:
         rid = self.partition.region_of(x, y)
         return self.terrain.altitude(x, y) <= self.waterline_m(rid, t_seconds)
 
+    def waterlines(self, t_seconds: float) -> np.ndarray:
+        """:meth:`waterline_m` of every region at ``t``, in slot order.
+
+        Entry i equals ``waterline_m(partition.region_ids[i], t)``
+        bit-for-bit.  The vector is read-only and memoized per ``t`` (at
+        most :attr:`WATERLINE_MEMO` times, least recently used dropped):
+        the dispatch cycle asks for the same ``t`` from the closure index
+        and the predictor's flood gate, and the gate's forecast time is a
+        later cycle's ``t``.  ``severity_fn`` must be a pure function of
+        ``(region, t)`` for the memo to hold.
+        """
+        key = float(t_seconds)
+        memo = self._waterline_memo
+        cached = memo.get(key)
+        if cached is not None:
+            memo.move_to_end(key)
+            return cached
+        vec = np.array(
+            [self.waterline_m(rid, key) for rid in self.partition.region_ids]
+        )
+        vec.flags.writeable = False
+        memo[key] = vec
+        if len(memo) > self.WATERLINE_MEMO:
+            memo.popitem(last=False)
+        return vec
+
     def is_flooded_many(self, xy: np.ndarray, t_seconds: float) -> np.ndarray:
         """Vectorized flood query for an (N, 2) array of plane points."""
         xy = np.asarray(xy, dtype=float)
         alts = self.terrain.altitude_many(xy)
-        regions = self.partition.region_of_many(xy)
-        # One waterline per region, then broadcast — the quantile lookup is
-        # the expensive part.
-        per_region = {
-            rid: self.waterline_m(rid, t_seconds) for rid in self.partition.region_ids
-        }
-        waterlines = np.array([per_region[int(r)] for r in regions])
-        return alts <= waterlines
+        slots = self.partition.region_slot_many(xy)
+        return alts <= self.waterlines(t_seconds)[slots]
 
     def flooded_fraction(self, region_id: int, t_seconds: float) -> float:
         """Share of a region's terrain currently underwater, in [0, 1]."""

@@ -121,13 +121,21 @@ class RegionPartition:
         d2 = (self._seeds_xy[:, 0] - x) ** 2 + (self._seeds_xy[:, 1] - y) ** 2
         return int(self._ids[int(np.argmin(d2))])
 
-    def region_of_many(self, xy: np.ndarray) -> np.ndarray:
-        """Vectorized region lookup for an (N, 2) array of plane points."""
+    def region_slot_many(self, xy: np.ndarray) -> np.ndarray:
+        """Region *slots* (positions in :attr:`region_ids`) of (N, 2) points.
+
+        Per-region vectors indexed by slot gather straight into per-point
+        arrays, with no id -> slot mapping in between.
+        """
         xy = np.asarray(xy, dtype=float)
         if xy.ndim != 2 or xy.shape[1] != 2:
             raise ValueError("xy must have shape (N, 2)")
         d2 = ((xy[:, None, :] - self._seeds_xy[None, :, :]) ** 2).sum(axis=2)
-        return self._ids[np.argmin(d2, axis=1)]
+        return np.argmin(d2, axis=1)
+
+    def region_of_many(self, xy: np.ndarray) -> np.ndarray:
+        """Vectorized region lookup for an (N, 2) array of plane points."""
+        return self._ids[self.region_slot_many(xy)]
 
 
 def charlotte_regions(width_m: float, height_m: float) -> RegionPartition:

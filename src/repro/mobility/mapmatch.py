@@ -10,7 +10,7 @@ rates of Section III.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,8 @@ class MatchedTrajectories:
 
     trajectories: dict[int, tuple[np.ndarray, np.ndarray]]
     dropped_far_fixes: int
+    #: Flat query index, built by the first :meth:`nodes_at_time`.
+    _flat: "_FlatIndex | None" = field(default=None, init=False, repr=False, compare=False)
 
     def persons(self) -> list[int]:
         return sorted(self.trajectories)
@@ -38,14 +40,53 @@ class MatchedTrajectories:
         """Last-known landmark of every person at time ``t``.
 
         People whose first fix is later than ``t`` are absent from the
-        result — the dispatch center cannot see them yet.
+        result — the dispatch center cannot see them yet.  Keys come in
+        ``trajectories`` order.
+
+        One comparison over every person's concatenated times and one
+        segmented count answer the query: a person's last fix at or before
+        ``t`` sits ``count - 1`` rows past their start, the row the
+        per-person ``searchsorted(ts, t, side="right") - 1`` finds.
         """
-        out: dict[int, int] = {}
-        for pid, (ts, nodes) in self.trajectories.items():
-            i = int(np.searchsorted(ts, t_seconds, side="right")) - 1
-            if i >= 0:
-                out[pid] = int(nodes[i])
-        return out
+        flat = self._flat
+        if flat is None:
+            flat = self._flat = _FlatIndex.build(self.trajectories)
+        if not len(flat.pids):
+            return {}
+        later = np.add.reduceat(flat.times > t_seconds, flat.starts, dtype=np.int64)
+        seen = flat.lengths - later
+        known = seen > 0
+        rows = flat.starts[known] + seen[known] - 1
+        return dict(zip(flat.pids[known].tolist(), flat.nodes[rows].tolist()))
+
+
+@dataclass(frozen=True)
+class _FlatIndex:
+    """Every non-empty trajectory concatenated, in ``trajectories`` order."""
+
+    pids: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    times: np.ndarray
+    nodes: np.ndarray
+
+    @classmethod
+    def build(cls, trajectories: dict[int, tuple[np.ndarray, np.ndarray]]) -> "_FlatIndex":
+        # Empty trajectories never answer a query, and reduceat cannot
+        # express an empty segment, so they stay out of the index.
+        kept = [(pid, ts, nodes) for pid, (ts, nodes) in trajectories.items() if len(ts)]
+        if not kept:
+            empty = np.zeros(0, dtype=np.int64)
+            return cls(empty, empty, empty, np.zeros(0), empty)
+        lengths = np.array([len(ts) for _, ts, _ in kept], dtype=np.int64)
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        return cls(
+            pids=np.array([pid for pid, _, _ in kept], dtype=np.int64),
+            starts=starts,
+            lengths=lengths,
+            times=np.concatenate([ts for _, ts, _ in kept]),
+            nodes=np.concatenate([nodes for _, _, nodes in kept]).astype(np.int64, copy=False),
+        )
 
 
 def map_match(

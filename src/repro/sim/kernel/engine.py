@@ -112,6 +112,11 @@ class EventKernelSimulator(RescueSimulator):
         self._fault_closed_span: tuple[float, float, frozenset[int]] = (
             _INF, -_INF, frozenset(),
         )
+        #: ``(flood closed, fault closed, union)`` of the last fault-closed
+        #: cycle, see :meth:`_closed_now`.
+        self._closed_union: tuple[object, object, frozenset[int]] = (
+            None, None, frozenset(),
+        )
         # Breakdown trigger ticks: the first grid tick each outage window
         # covers (windows falling wholly between ticks never trigger —
         # exactly the seed's per-tick ``covers`` poll).
@@ -184,13 +189,22 @@ class EventKernelSimulator(RescueSimulator):
         if self.faults is not None:
             extra = self._fault_closed_at(t)
             if extra:
-                closed = frozenset(closed | extra)
+                # Both inputs keep their object while unchanged (closure
+                # epoch, fault span), so the union does too.
+                flood_in, extra_in, union = self._closed_union
+                if flood_in is not closed or extra_in is not extra:
+                    union = frozenset(closed | extra)
+                    self._closed_union = (closed, extra, union)
+                closed = union
         return closed
 
     # -- hospital routing -----------------------------------------------------
 
     def _current_field(self) -> HospitalField:
-        if self._field is None or self._field_closed != self._closed:
+        # Identity, not equality: the closed set keeps its object through a
+        # closure epoch, and an equal set under a new object is a cache hit
+        # in ``_fields`` anyway.
+        if self._field is None or self._field_closed is not self._closed:
             adjacency = None
             if isinstance(self.router, PrefilteredRouter):
                 adjacency = self.router.adjacency(self._closed, reverse=True)

@@ -19,9 +19,10 @@ changing a single answer:
 * :class:`FloodClosureIndex` — the flood's closed-segment set recomputed
   without re-deriving static geometry.  Midpoint altitudes and region
   memberships never change; only the per-region waterline moves.  The
-  index calls the same ``waterline_m`` (same ``np.quantile``) the seed
-  calls and compares against the precomputed altitudes, producing the
-  identical frozenset.
+  index gathers the same ``waterline_m`` floats (same ``np.quantile``)
+  the seed calls and compares against the precomputed altitudes,
+  producing the identical frozenset — the very same object for as long
+  as the flooded mask does not change (a closure epoch).
 
 * :class:`PrefilteredRouter` — the PR 4 :class:`RoutingCache` with the
   closed-set membership test hoisted out of the Dijkstra inner loop:
@@ -177,7 +178,13 @@ class FloodClosureIndex:
     """Vectorized ``network.closed_segments(flood, t)`` over static geometry.
 
     ``flood`` is any object with the :class:`repro.geo.flood.FloodModel`
-    surface (``terrain``, ``partition``, ``waterline_m``).
+    surface (``terrain``, ``partition``, ``waterlines``).
+
+    Closure epochs: the flooded mask is compared with the previous query's,
+    and while it is unchanged :meth:`closed_at` returns the previous
+    ``frozenset`` *object*.  Most 300 s dispatch cycles leave the mask
+    unchanged, so every cache keyed on the closed set (routing trees,
+    hospital fields, the dispatcher's operable anchors) hits by identity.
     """
 
     def __init__(self, network: RoadNetwork, flood: object) -> None:
@@ -188,24 +195,23 @@ class FloodClosureIndex:
         # Static per-midpoint geometry: the seed recomputes these on every
         # flood query; they depend only on the frozen network.
         self._alts = flood.terrain.altitude_many(mids)  # type: ignore[attr-defined]
-        regions = flood.partition.region_of_many(mids)  # type: ignore[attr-defined]
-        self._region_ids = [int(r) for r in flood.partition.region_ids]  # type: ignore[attr-defined]
-        slot_of = {rid: i for i, rid in enumerate(self._region_ids)}
-        self._region_slot = np.array([slot_of[int(r)] for r in regions], dtype=np.int64)
-        self._waterlines = np.empty(len(self._region_ids), dtype=np.float64)
+        self._region_slot = flood.partition.region_slot_many(mids)  # type: ignore[attr-defined]
+        self._mask: np.ndarray | None = None
+        self._closed: frozenset[int] = frozenset()
 
     def closed_at(self, t_s: float) -> frozenset[int]:
         """Flood-closed segment ids at ``t`` — same frozenset as the seed.
 
-        Calls the seed's own ``waterline_m`` per region (identical
-        ``np.quantile`` floats) and broadcasts over precomputed altitudes;
+        Gathers the flood's region waterlines (the seed's own
+        ``waterline_m`` floats) over precomputed altitudes;
         ``alts <= waterline`` is the seed comparison elementwise.
         """
-        wl = self._waterlines
-        for slot, rid in enumerate(self._region_ids):
-            wl[slot] = self.flood.waterline_m(rid, t_s)  # type: ignore[attr-defined]
+        wl = self.flood.waterlines(t_s)  # type: ignore[attr-defined]
         flooded = self._alts <= wl[self._region_slot]
-        return frozenset(int(i) for i in self._seg_ids[flooded])
+        if self._mask is None or not np.array_equal(flooded, self._mask):
+            self._mask = flooded
+            self._closed = frozenset(int(i) for i in self._seg_ids[flooded])
+        return self._closed
 
 
 class PrefilteredRouter(RoutingCache):

@@ -44,16 +44,27 @@ class WeatherService:
             ]
         )
 
+    def region_factors(self, t_seconds: float) -> tuple[np.ndarray, np.ndarray]:
+        """The region-level factor components at ``t``: ``(precipitation,
+        wind)`` vectors in slot order (``partition.region_ids``).
+
+        Each entry is the scalar field method's own float; gathering them
+        by a point's region slot gives :meth:`factor_vector`'s first two
+        components bit-for-bit.
+        """
+        ids = self.partition.region_ids
+        field = self.field
+        precip = np.array([field.factor_precipitation_mm_per_h(r, t_seconds) for r in ids])
+        wind = np.array([field.factor_wind_mph(r, t_seconds) for r in ids])
+        return precip, wind
+
     def factor_vectors(self, xy: np.ndarray, t_seconds: float) -> np.ndarray:
         """Vectorized :meth:`factor_vector` for an (N, 2) array of points."""
         xy = np.asarray(xy, dtype=float)
-        regions = self.partition.region_of_many(xy)
-        precip = np.array(
-            [self.field.factor_precipitation_mm_per_h(int(r), t_seconds) for r in regions]
-        )
-        wind = np.array([self.field.factor_wind_mph(int(r), t_seconds) for r in regions])
+        slots = self.partition.region_slot_many(xy)
+        precip, wind = self.region_factors(t_seconds)
         alt = self.terrain.altitude_many(xy)
-        return np.column_stack([precip, wind, alt])
+        return np.column_stack([precip[slots], wind[slots], alt])
 
     def is_flooded(self, x: float, y: float, t_seconds: float) -> bool:
         """Satellite-imaging flood query for a single position."""
