@@ -9,7 +9,8 @@ import numpy as np
 from conftest import emit
 
 from repro.eval.tables import format_table
-from repro.sim.engine import RescueSimulator, SimulationConfig
+from repro.sim.engine import SimulationConfig
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.metrics import SimulationMetrics
 
 
@@ -19,7 +20,7 @@ def _run_with_delay(harness, delay_s: float):
     )
     dispatcher.computation_delay_s = delay_s
     t0, t1 = harness.eval_window
-    sim = RescueSimulator(
+    sim = EventKernelSimulator(
         harness.florence_scenario,
         harness.eval_requests(),
         dispatcher,

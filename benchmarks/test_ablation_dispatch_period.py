@@ -8,7 +8,8 @@ import numpy as np
 from conftest import emit
 
 from repro.eval.tables import format_table
-from repro.sim.engine import RescueSimulator, SimulationConfig
+from repro.sim.engine import SimulationConfig
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.metrics import SimulationMetrics
 
 
@@ -17,7 +18,7 @@ def _run_with_period(harness, period_s: float):
         harness.florence_scenario, harness.florence_bundle
     )
     t0, t1 = harness.eval_window
-    sim = RescueSimulator(
+    sim = EventKernelSimulator(
         harness.florence_scenario,
         harness.eval_requests(),
         dispatcher,

@@ -8,7 +8,8 @@ deploys the same offline-trained model with and without online updates.
 from conftest import emit
 
 from repro.eval.tables import format_table
-from repro.sim.engine import RescueSimulator, SimulationConfig
+from repro.sim.engine import SimulationConfig
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.metrics import SimulationMetrics
 
 
@@ -17,7 +18,7 @@ def _run(harness, online: bool):
         harness.florence_scenario, harness.florence_bundle, online_training=online
     )
     t0, t1 = harness.eval_window
-    sim = RescueSimulator(
+    sim = EventKernelSimulator(
         harness.florence_scenario,
         harness.eval_requests(),
         dispatcher,

@@ -12,7 +12,8 @@ from dataclasses import replace
 from repro.core.config import MobiRescueConfig
 from repro.core.system import MobiRescueSystem
 from repro.eval.tables import format_table
-from repro.sim.engine import RescueSimulator, SimulationConfig
+from repro.sim.engine import SimulationConfig
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.metrics import SimulationMetrics
 
 
@@ -26,7 +27,7 @@ def _run_variant(harness, config: MobiRescueConfig):
     )
     dispatcher = system.deploy(harness.florence_scenario, harness.florence_bundle)
     t0, t1 = harness.eval_window
-    sim = RescueSimulator(
+    sim = EventKernelSimulator(
         harness.florence_scenario,
         harness.eval_requests(),
         dispatcher,

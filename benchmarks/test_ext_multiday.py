@@ -11,7 +11,8 @@ import numpy as np
 from conftest import emit
 
 from repro.eval.tables import format_table
-from repro.sim.engine import RescueSimulator, SimulationConfig
+from repro.sim.engine import SimulationConfig
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.requests import remap_to_operable, requests_from_rescues
 from repro.weather.storms import SECONDS_PER_DAY, day_index
@@ -19,7 +20,7 @@ from repro.weather.storms import SECONDS_PER_DAY, day_index
 
 def _run(harness, name: str, t0: float, t1: float, requests):
     dispatcher = harness.make_dispatcher(name)
-    sim = RescueSimulator(
+    sim = EventKernelSimulator(
         harness.florence_scenario,
         requests,
         dispatcher,

@@ -24,7 +24,8 @@ from repro.hospitals.hospitals import place_hospitals
 from repro.mobility.generator import MobilityTraceGenerator, TraceConfig
 from repro.mobility.population import PopulationConfig, generate_population
 from repro.roadnet.generator import RoadNetworkConfig, generate_road_network
-from repro.sim import RescueSimulator, SimulationConfig
+from repro.sim import SimulationConfig
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.requests import remap_to_operable, requests_from_rescues
 from repro.weather.fields import RegionWeatherField
@@ -122,7 +123,7 @@ def main() -> None:
         scenario.flood,
     )
     dispatcher = system.deploy(scenario, bundle)
-    sim = RescueSimulator(
+    sim = EventKernelSimulator(
         scenario,
         requests,
         dispatcher,

@@ -24,7 +24,7 @@ from repro.data.charlotte import build_charlotte_scenario
 from repro.dispatch.nearest import NearestDispatcher
 from repro.perf.routing_cache import RoutingCache
 from repro.sim import RescueSimulator, SimulationConfig
-from repro.sim.kernel import EventKernelSimulator, build_simulator
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.requests import RescueRequest
 from repro.weather.storms import FLORENCE
 
@@ -69,12 +69,9 @@ def main() -> None:
     ).run()
     seed_s = time.perf_counter() - start
 
-    # ``build_simulator`` is the production entry point; with the kernel
-    # enabled (the default) it returns an EventKernelSimulator.
-    kernel_sim = build_simulator(
+    kernel_sim = EventKernelSimulator(
         scenario, list(requests), NearestDispatcher(), config
     )
-    assert isinstance(kernel_sim, EventKernelSimulator)
     start = time.perf_counter()
     kernel_result = kernel_sim.run()
     kernel_s = time.perf_counter() - start

@@ -16,7 +16,8 @@ from __future__ import annotations
 from repro.data import build_florence_dataset
 from repro.dispatch import ScheduleDispatcher
 from repro.faults import get_profile, make_injector
-from repro.sim import RescueSimulator, SimulationConfig
+from repro.sim import SimulationConfig
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.requests import remap_to_operable, requests_from_rescues
 from repro.weather.storms import SECONDS_PER_DAY, day_index
@@ -28,7 +29,7 @@ SEED = 0
 def run_profile(profile_name: str, scenario, bundle, requests, t0: float, t1: float):
     injector = make_injector(profile_name, t0, t1, seed=SEED)
     dispatcher = ScheduleDispatcher()
-    sim = RescueSimulator(
+    sim = EventKernelSimulator(
         scenario,
         requests,
         dispatcher,

@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.core import MobiRescueSystem
 from repro.data import build_florence_dataset, build_michael_dataset
-from repro.sim import RescueSimulator, SimulationConfig
+from repro.sim import SimulationConfig
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.requests import remap_to_operable, requests_from_rescues
 from repro.weather.storms import SECONDS_PER_DAY, day_index
@@ -34,7 +35,7 @@ def run_once(system, scenario, bundle, gps_fallback: bool):
         scenario.network,
         scenario.flood,
     )
-    sim = RescueSimulator(
+    sim = EventKernelSimulator(
         scenario,
         requests,
         dispatcher,

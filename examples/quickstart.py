@@ -13,7 +13,8 @@ import numpy as np
 
 from repro.core import MobiRescueSystem
 from repro.data import build_florence_dataset, build_michael_dataset
-from repro.sim import RescueSimulator, SimulationConfig
+from repro.sim import SimulationConfig
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.requests import remap_to_operable, requests_from_rescues
 from repro.weather.storms import SECONDS_PER_DAY, day_index
@@ -48,7 +49,7 @@ def main() -> None:
         eval_scenario.flood,
     )
     num_teams = max(10, len(requests))
-    sim = RescueSimulator(
+    sim = EventKernelSimulator(
         eval_scenario,
         requests,
         dispatcher,

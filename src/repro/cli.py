@@ -226,12 +226,10 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     from repro.core import MobiRescueSystem, save_trained
     from repro.sim import SimulationConfig
-    from repro.sim.kernel import build_simulator, set_event_kernel_enabled
+    from repro.sim.kernel import EventKernelSimulator
     from repro.sim.metrics import SimulationMetrics
     from repro.sim.requests import remap_to_operable, requests_from_rescues
     from repro.weather.storms import SECONDS_PER_DAY, day_index
-
-    set_event_kernel_enabled(args.engine == "event")
 
     florence, michael = _datasets(args)
     print("training MobiRescue...", file=sys.stderr)
@@ -248,7 +246,7 @@ def cmd_simulate(args) -> int:
         eval_scen.network, eval_scen.flood,
     )
     dispatcher = system.deploy(eval_scen, eval_bundle)
-    sim = build_simulator(
+    sim = EventKernelSimulator(
         eval_scen, requests, dispatcher,
         SimulationConfig(
             t0_s=t0, t1_s=t1, num_teams=max(10, len(requests)), seed=args.seed
@@ -856,11 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="train + deploy the full system")
     _add_common(p)
     p.add_argument("--save", type=str, default="", help="save trained models (.npz)")
-    p.add_argument(
-        "--engine", choices=("event", "fixed"), default="event",
-        help="simulation engine: the event-driven kernel (default) or the "
-        "seed fixed-step loop (bit-identical reference)",
-    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("figure", help="render one dispatching figure as ASCII")

@@ -52,10 +52,12 @@ logger = logging.getLogger("repro.core.persistence")
 #: v1: single-archive trained models (Q-net weights only).
 #: v2: adds the target network and the behaviour policy's RNG state, so a
 #: reloaded model continues *online* training (Section IV-C4) identically.
-FORMAT_VERSION = 2
+#: v3: adds the predictor's flood gate and forecast horizon.
+FORMAT_VERSION = 3
 TRAINED_FORMAT = VersionedFormat("mobirescue-trained", FORMAT_VERSION)
 
-CHECKPOINT_VERSION = 1
+#: v2: adds the predictor's flood gate and forecast horizon.
+CHECKPOINT_VERSION = 2
 CHECKPOINT_FORMAT = VersionedFormat("mobirescue-checkpoint", CHECKPOINT_VERSION)
 CHECKPOINT_PREFIX = "ckpt-"
 CHECKPOINT_STATE = "state.npz"
@@ -107,6 +109,8 @@ def _pack_predictor(predictor: RequestPredictor) -> dict[str, np.ndarray]:
         ),
         "scaler_mean": scaler.mean_,
         "scaler_std": scaler.std_,
+        "flood_gated": np.array([predictor.flood_gated]),
+        "flood_forecast_horizon_s": np.array([predictor.flood_forecast_horizon_s]),
     }
 
 
@@ -119,7 +123,9 @@ def _restore_predictor(
         kernel=str(kernel),
         c=float(c),
         gamma=float(gamma),
+        flood_gated=bool(data["flood_gated"][0]),
     )
+    predictor.flood_forecast_horizon_s = float(data["flood_forecast_horizon_s"][0])
     predictor.svm.gamma = float(gamma)
     predictor.svm.degree = int(degree)
     predictor.svm._alpha = np.asarray(data["svm_alpha"])
@@ -159,6 +165,19 @@ def _trained_v1_to_v2(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     rng_state = np.random.default_rng(seed).bit_generator.state
     arrays["rng_json"] = np.array([json.dumps(rng_state)])
     return arrays
+
+
+#: What loaders before the gate was stored restored every predictor with.
+_UNSTORED_GATE = {
+    "flood_gated": np.array([True]),
+    "flood_forecast_horizon_s": np.array([12.0 * 3_600.0]),
+}
+
+
+@TRAINED_FORMAT.migration(2)
+def _trained_v2_to_v3(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """v2 archives lack the flood gate: fill what v2 loaders assumed."""
+    return {**arrays, **_UNSTORED_GATE}
 
 
 def save_trained(trained: TrainedMobiRescue, path: str | pathlib.Path) -> None:
@@ -345,6 +364,12 @@ def _pack_predictor_prefixed(
     predictor_arrays: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     return {f"predictor.{k}": v for k, v in predictor_arrays.items()}
+
+
+@CHECKPOINT_FORMAT.migration(1)
+def _checkpoint_v1_to_v2(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """v1 checkpoints lack the flood gate: fill what v1 loaders assumed."""
+    return {**arrays, **_pack_predictor_prefixed(_UNSTORED_GATE)}
 
 
 def load_checkpoint(path: str | pathlib.Path) -> TrainingCheckpoint:

@@ -257,12 +257,12 @@ class MobiRescueDispatcher(Dispatcher):
         """Min-cost matching of teams to pending-request slots on the
         operable network.  Returns team_id -> segment."""
         from repro.dispatch.assignment import expand_demand_slots, solve_assignment
-        from repro.perf.routing_cache import default_router
+        from repro.perf.routing_cache import routing_cache
 
         live = {s: v for s, v in pending.items() if v > 0 and s not in obs.closed}
         if not live or not pool:
             return {}
-        router = default_router(obs.network)
+        router = routing_cache(obs.network)
         slots = expand_demand_slots(live, capacity=5, max_slots=len(pool))
         cost = np.zeros((len(pool), len(slots)))
         col_costs: dict[int, dict[int, float]] = {}

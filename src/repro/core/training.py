@@ -29,7 +29,7 @@ from repro.mobility.generator import TraceBundle
 from repro.mobility.mapmatch import map_match
 from repro.ml.dqn import DQNAgent
 from repro.sim.engine import SimulationConfig
-from repro.sim.kernel import build_simulator
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.requests import remap_to_operable, requests_from_rescues
 from repro.weather.storms import SECONDS_PER_DAY
 
@@ -211,7 +211,7 @@ def run_training_episode(
     dispatcher = MobiRescueDispatcher(
         scenario, setup.predictor, setup.feed, setup.agent, cfg, training=True
     )
-    sim = build_simulator(
+    sim = EventKernelSimulator(
         scenario,
         requests,
         dispatcher,

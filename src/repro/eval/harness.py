@@ -23,7 +23,7 @@ from repro.dispatch.rescue_ts import RescueTsDispatcher
 from repro.dispatch.schedule import ScheduleDispatcher
 from repro.mobility.generator import TraceBundle
 from repro.sim.engine import SimulationConfig, SimulationResult
-from repro.sim.kernel import build_simulator
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.requests import remap_to_operable, requests_from_rescues
 from repro.weather.storms import SECONDS_PER_DAY, day_index
@@ -168,7 +168,7 @@ class ExperimentHarness:
             dispatcher.positions_fn = DegradedPositionFeed(
                 dispatcher.positions_fn, injector
             )
-        sim = build_simulator(
+        sim = EventKernelSimulator(
             self.florence_scenario,
             self.eval_requests(),
             dispatcher,

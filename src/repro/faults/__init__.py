@@ -15,11 +15,11 @@ independent of query order.
 Typical use::
 
     from repro.faults import make_injector
-    from repro.sim.kernel import build_simulator
+    from repro.sim.kernel import EventKernelSimulator
 
     injector = make_injector("severe", t0_s, t1_s, seed=0)
-    sim = build_simulator(scenario, requests, dispatcher, config,
-                          faults=injector)
+    sim = EventKernelSimulator(scenario, requests, dispatcher, config,
+                               faults=injector)
 """
 
 from repro.faults.models import (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geo.regions import RegionPartition
-from repro.perf.routing_cache import default_router
+from repro.perf.routing_cache import routing_cache
 from repro.roadnet.graph import RoadNetwork
 
 
@@ -77,7 +77,7 @@ def nearest_hospital(
     """
     if not hospitals:
         raise ValueError("hospital list is empty")
-    times = default_router(network).time_from(node, closed=closed)
+    times = routing_cache(network).time_from(node, closed=closed)
     best: Hospital | None = None
     best_t = float("inf")
     for h in hospitals:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.perf.routing_cache import default_router
+from repro.perf.routing_cache import routing_cache
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.routing import Route
 
@@ -51,7 +51,7 @@ class RouteCache:
     """Memoized shortest-path lookup, keyed by (src, dst).
 
     Misses are resolved through :func:`repro.perf.routing_cache
-    .default_router`, so many destinations reached from one anchor (a home,
+    .routing_cache`, so many destinations reached from one anchor (a home,
     a workplace) share a single Dijkstra tree instead of one search each.
     ``hits``/``misses`` count :meth:`route` lookups.
     """
@@ -70,7 +70,7 @@ class RouteCache:
             self.hits += 1
             return self._cache[key]
         self.misses += 1
-        r = default_router(self.network).route(src, dst, weight=self.weight)
+        r = routing_cache(self.network).route(src, dst, weight=self.weight)
         self._cache[key] = r
         return r
 

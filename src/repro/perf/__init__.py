@@ -6,7 +6,8 @@ scale without changing a single simulated outcome:
 * :mod:`repro.perf.routing_cache` — closure-aware memoization of the
   road-network Dijkstra trees consulted by the simulation engine, the
   dispatchers and the mobility pipeline.  Results are bit-identical to the
-  per-call seed implementation by construction (same routine, cached).
+  per-call seed implementation by construction (same relax sequence on
+  prefiltered adjacency, cached).
 * :mod:`repro.perf.bench` — the ``repro bench`` microbenchmark suite:
   routing, batched prediction, full simulation ticks and training steps,
   emitted as a durable ``BENCH_<date>.json`` artifact.
@@ -21,10 +22,7 @@ from repro.perf.routing_cache import (
     Router,
     RoutingCache,
     clear_routing_caches,
-    default_router,
     routing_cache,
-    routing_cache_enabled,
-    set_routing_cache_enabled,
 )
 
 __all__ = [
@@ -32,8 +30,5 @@ __all__ = [
     "Router",
     "RoutingCache",
     "clear_routing_caches",
-    "default_router",
     "routing_cache",
-    "routing_cache_enabled",
-    "set_routing_cache_enabled",
 ]

@@ -17,21 +17,26 @@ is answered from the same tree, so:
 * N teams at the same landmark share one tree;
 * an unchanged flood front makes entire dispatch cycles allocation-free.
 
-**Bit-identical by construction.**  The cache runs the seed Dijkstra
-routine itself (not a reimplementation) and reconstructs routes with the
-same tree-walk the seed ``shortest_path`` uses.  Early-terminated and full
-runs agree on every settled label because Dijkstra labels are final when
-popped and later relaxations only replace on strict improvement — the
-property the golden-equivalence suite locks in.
+**Bit-identical by construction.**  Searches run the seed
+``dijkstra_tree`` loop on adjacency prefiltered once per closed set
+(:func:`filtered_adjacency`): dropping the rows the seed loop
+``continue``s over leaves its relax sequence, and so every label and
+tie-break, unchanged.  Routes are rebuilt with the seed tree-walk.
+Early-terminated and full runs agree on every settled label because
+Dijkstra labels are final when popped and later relaxations only replace
+on strict improvement — the property the golden-equivalence suite locks
+in against :class:`DirectRouter`.
 
 **Invalidation.**  Keys carry the ``closed`` frozenset, so a moved flood
-front is automatically a different cache line; stale trees age out of a
-bounded LRU (no explicit invalidation hooks to forget).  Returned mappings
-are the cache's own structures: treat them as read-only.
+front is automatically a different cache line; stale trees and filtered
+adjacencies age out of bounded LRUs (no explicit invalidation hooks to
+forget).  Returned mappings are the cache's own structures: treat them as
+read-only.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 from typing import Protocol
 
@@ -39,7 +44,6 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.routing import (
     Route,
     append_segment,
-    dijkstra_tree,
     route_from_tree,
     route_to_segment,
     shortest_path,
@@ -51,6 +55,25 @@ _WEIGHTS = ("time", "length")
 
 #: (dist, prev_seg) of one Dijkstra pass.
 Tree = tuple[dict[int, float], dict[int, int]]
+
+#: Adjacency with closed rows removed: node -> ((segment, other, time, length), ...).
+Adjacency = dict[int, list[tuple[int, int, float, float]]]
+
+
+def filtered_adjacency(
+    network: RoadNetwork, closed: frozenset[int], reverse: bool = False
+) -> Adjacency:
+    """Adjacency rows with closed segments dropped (relax order preserved).
+
+    With nothing closed this is the network's own adjacency object.
+    """
+    adj = network.in_adjacency() if reverse else network.out_adjacency()
+    if not closed:
+        return adj
+    return {
+        node: [row for row in rows if row[0] not in closed]
+        for node, rows in adj.items()
+    }
 
 
 class _ClosureLine:
@@ -156,8 +179,9 @@ class RoutingCache:
 
     ``max_closure_sets`` bounds how many distinct ``(closed, weight)``
     snapshots stay warm (the flood front plus the flood-unaware planners'
-    empty set comfortably fit); ``max_trees_per_closure`` bounds roots per
-    snapshot (team positions + hospitals + trip anchors).  Both evict LRU.
+    empty set comfortably fit), and as many filtered adjacencies per
+    search direction; ``max_trees_per_closure`` bounds roots per snapshot
+    (team positions + hospitals + trip anchors).  All evict LRU.
     """
 
     def __init__(
@@ -174,6 +198,9 @@ class RoutingCache:
         self._closures: OrderedDict[
             tuple[frozenset[int], str], _ClosureLine
         ] = OrderedDict()
+        self._adjacencies: OrderedDict[tuple[frozenset[int], bool], Adjacency] = (
+            OrderedDict()
+        )
         self.hits = 0
         self.misses = 0
 
@@ -200,6 +227,52 @@ class RoutingCache:
         if len(line.seen) > 4 * self.max_trees_per_closure:
             line.seen.clear()
 
+    def adjacency(self, closed: frozenset[int], reverse: bool = False) -> Adjacency:
+        """:func:`filtered_adjacency` for ``closed``, memoized per direction."""
+        key = (closed, reverse)
+        cached = self._adjacencies.get(key)
+        if cached is not None:
+            self._adjacencies.move_to_end(key)
+            return cached
+        built = filtered_adjacency(self.network, closed, reverse)
+        self._adjacencies[key] = built
+        while len(self._adjacencies) > self.max_closure_sets:
+            self._adjacencies.popitem(last=False)
+        return built
+
+    def _search(
+        self,
+        root: int,
+        closed: frozenset[int],
+        weight: str,
+        reverse: bool = False,
+        target: int | None = None,
+    ) -> Tree:
+        """The seed ``dijkstra_tree`` loop minus the per-edge closed test."""
+        self.network.landmark(root)
+        adj = self.adjacency(closed, reverse)
+        wi = 2 if weight == "time" else 3
+        dist: dict[int, float] = {root: 0.0}
+        prev_seg: dict[int, int] = {}
+        done: set[int] = set()
+        heap: list[tuple[float, int]] = [(0.0, root)]
+        inf = float("inf")
+        while heap:
+            d, node = heapq.heappop(heap)
+            if node in done:
+                continue
+            if target is not None and node == target:
+                break
+            done.add(node)
+            for row in adj[node]:
+                nd = d + row[wi]
+                other = row[1]
+                if nd < dist.get(other, inf):
+                    dist[other] = nd
+                    prev_seg[other] = row[0]
+                    heapq.heappush(heap, (nd, other))
+        return dist, prev_seg
+
     def _tree(
         self, root: int, closed: frozenset[int], weight: str, reverse: bool
     ) -> Tree:
@@ -209,9 +282,7 @@ class RoutingCache:
         tree = line.trees.get(tkey)
         if tree is None:
             self.misses += 1
-            tree = dijkstra_tree(
-                self.network, root, closed, weight, reverse=reverse
-            )
+            tree = self._search(root, closed, weight, reverse=reverse)
             self._store(line, tkey, tree)
         else:
             self.hits += 1
@@ -220,6 +291,7 @@ class RoutingCache:
 
     def clear(self) -> None:
         self._closures.clear()
+        self._adjacencies.clear()
 
     @property
     def num_trees(self) -> int:
@@ -242,22 +314,17 @@ class RoutingCache:
             return Route((src,), (), 0.0, 0.0)
         line = self._line(closed, weight)
         tkey = (src, False)
-        tree = line.trees.get(tkey)
-        if tree is not None:
-            self.hits += 1
-            line.trees.move_to_end(tkey)
-        elif tkey in line.seen:
-            # Second touch of this root: promote to a cached full tree.
-            self.misses += 1
-            tree = dijkstra_tree(self.network, src, closed, weight)
-            self._store(line, tkey, tree)
+        if tkey in line.trees or tkey in line.seen:
+            # A cached tree, or the second touch of this root, which
+            # ``_tree`` promotes to a cached full tree.
+            tree = self._tree(src, closed, weight, False)
         else:
             # First touch: the same target-pruned search the seed path
             # runs.  Settled labels of pruned and full runs are identical,
             # so the reconstructed route is bit-identical either way.
             line.seen.add(tkey)
             self.misses += 1
-            tree = dijkstra_tree(self.network, src, closed, weight, target=dst)
+            tree = self._search(src, closed, weight, target=dst)
         return route_from_tree(self.network, src, dst, tree[1])
 
     def route_to_segment(
@@ -294,24 +361,7 @@ class RoutingCache:
 
 # -- process-wide wiring -----------------------------------------------------
 
-_ENABLED = True
 _CACHES: dict[int, RoutingCache] = {}
-
-
-def set_routing_cache_enabled(enabled: bool) -> bool:
-    """Flip the process-wide cache switch; returns the previous setting.
-
-    The golden-equivalence suite uses this to run the same scenario through
-    the cached and the seed routing paths.
-    """
-    global _ENABLED  # repro: allow-fork-unsafe -- test-only switch; results identical either way
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-def routing_cache_enabled() -> bool:
-    return _ENABLED
 
 
 def routing_cache(network: RoadNetwork) -> RoutingCache:
@@ -328,11 +378,3 @@ def routing_cache(network: RoadNetwork) -> RoutingCache:
 def clear_routing_caches() -> None:
     """Drop every per-network cache (tests and long-lived processes)."""
     _CACHES.clear()  # repro: allow-fork-unsafe -- per-process memo; affects speed, never results
-
-
-def default_router(network: RoadNetwork) -> Router:
-    """The router the hot paths should consult: the per-network cache, or
-    the seed per-call implementation when the cache is disabled."""
-    if _ENABLED:
-        return routing_cache(network)
-    return DirectRouter(network)

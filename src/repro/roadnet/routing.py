@@ -8,9 +8,9 @@ the driving-delay metric sums, or segment lengths (``weight='length'``).
 
 All public entry points (:func:`shortest_path`, :func:`shortest_time_from`,
 :func:`shortest_time_to`, :func:`route_to_segment`) share one internal
-Dijkstra, :func:`dijkstra_tree`, so the memoizing layer in
-``repro.perf.routing_cache`` has a single routine to wrap and its results
-are bit-identical to the direct calls by construction.
+Dijkstra, :func:`dijkstra_tree`: the seed loop that the memoizing layer in
+``repro.perf.routing_cache`` replays on prefiltered adjacency, and the
+reference its results are checked against bit for bit.
 """
 
 from __future__ import annotations

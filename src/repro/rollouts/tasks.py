@@ -155,7 +155,7 @@ class EvalRolloutTask:
     ) -> dict[str, Any]:
         from repro.dispatch.nearest import NearestDispatcher
         from repro.sim.engine import SimulationConfig
-        from repro.sim.kernel import build_simulator
+        from repro.sim.kernel import EventKernelSimulator
         from repro.sim.metrics import SimulationMetrics
 
         sim_seed = episode_sim_seed(spec)
@@ -165,7 +165,7 @@ class EvalRolloutTask:
             num_teams=self.num_teams,
             seed=sim_seed,
         )
-        sim = build_simulator(
+        sim = EventKernelSimulator(
             self.scenario,
             list(self.requests),
             NearestDispatcher(),
@@ -259,7 +259,7 @@ class TrainingCollectTask:
         from repro.core.rl_dispatcher import MobiRescueDispatcher, make_agent
         from repro.rollouts.merge import drain_transitions
         from repro.sim.engine import SimulationConfig
-        from repro.sim.kernel import build_simulator
+        from repro.sim.kernel import EventKernelSimulator
         from repro.sim.requests import remap_to_operable, requests_from_rescues
         from repro.weather.storms import SECONDS_PER_DAY
 
@@ -292,7 +292,7 @@ class TrainingCollectTask:
             self.scenario, context["predictor"], context["feed"], agent, cfg,
             training=True,
         )
-        sim = build_simulator(
+        sim = EventKernelSimulator(
             self.scenario,
             requests,
             dispatcher,

@@ -45,7 +45,7 @@ from repro.sim.engine import (
     SimulationConfig,
     SimulationResult,
 )
-from repro.sim.kernel import build_simulator
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.requests import RescueRequest
 
 if TYPE_CHECKING:
@@ -242,7 +242,7 @@ class DispatchService:
             latency_hook=latency_hook,
         )
 
-        self._sim = build_simulator(
+        self._sim = EventKernelSimulator(
             scenario,
             requests,
             self.resilient_dispatcher,

@@ -34,7 +34,7 @@ from repro.dispatch.base import (
     TeamView,
 )
 from repro.hospitals.hospitals import Hospital
-from repro.perf.routing_cache import Router, default_router
+from repro.perf.routing_cache import Router, routing_cache
 from repro.roadnet.routing import Route
 from repro.sim.requests import RescueRequest
 from repro.sim.teams import RescueTeam, TeamState
@@ -176,7 +176,7 @@ class RescueSimulator:
         #: Routing entry point for every in-sim Dijkstra: the process-wide
         #: closure-aware cache by default, or an explicit router (the
         #: equivalence tests pass a DirectRouter to reproduce seed behavior).
-        self.router = router if router is not None else default_router(scenario.network)
+        self.router = router if router is not None else routing_cache(scenario.network)
         self.hospitals: list[Hospital] = scenario.hospitals
         self._hospital_nodes = {h.node_id for h in scenario.hospitals}
         self.dispatcher = dispatcher

@@ -15,17 +15,12 @@ golden-equivalence suite (``tests/test_kernel_equivalence.py``) locks the
 two paths together across seeds and fault profiles, and the scheduler /
 ``TeamArray`` property suites pin the data structures underneath.
 
-Wiring follows the PR 4 router pattern: :func:`set_event_kernel_enabled`
-flips a process-wide switch consulted by :func:`build_simulator`; the seed
-``RescueSimulator.run`` loop is kept untouched as the reference path.
+Production code constructs :class:`EventKernelSimulator` directly; the
+seed ``RescueSimulator.run`` loop is kept untouched as the reference path
+the equivalence suite compares against.
 """
 
-from repro.sim.kernel.engine import (
-    EventKernelSimulator,
-    build_simulator,
-    event_kernel_enabled,
-    set_event_kernel_enabled,
-)
+from repro.sim.kernel.engine import EventKernelSimulator
 from repro.sim.kernel.events import Event, EventHeap, EventKind
 from repro.sim.kernel.state import RequestArray, TeamArray, TeamArrayView
 
@@ -37,7 +32,4 @@ __all__ = [
     "RequestArray",
     "TeamArray",
     "TeamArrayView",
-    "build_simulator",
-    "event_kernel_enabled",
-    "set_event_kernel_enabled",
 ]

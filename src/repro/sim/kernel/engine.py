@@ -25,10 +25,9 @@ the scheduler errs on that side; the golden-equivalence suite
 (``tests/test_kernel_equivalence.py``) locks kernel and seed runs
 together event-for-event across seeds and fault profiles.
 
-The wiring mirrors the PR 4 routing-cache toggle:
-:func:`set_event_kernel_enabled` flips a process-wide switch and
-:func:`build_simulator` constructs whichever engine is selected, keeping
-the seed loop alive as the golden reference path.
+:class:`EventKernelSimulator` is the one simulator production code
+constructs.  The seed :meth:`RescueSimulator.run` loop stays as the
+reference the equivalence suite compares against.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import numpy as np
 
 from repro.data.charlotte import CharlotteScenario
 from repro.dispatch.base import DispatchObservation, Dispatcher, TeamCommand, TeamView
-from repro.perf.routing_cache import Router
+from repro.perf.routing_cache import Router, RoutingCache
 from repro.roadnet.routing import Route
 from repro.sim.engine import PickupEvent, RescueSimulator, SimulationConfig, SimulationResult
 from repro.sim.kernel.events import EventHeap, EventKind
@@ -49,7 +48,6 @@ from repro.sim.kernel.routing import (
     FloodClosureIndex,
     HospitalField,
     HospitalFieldCache,
-    PrefilteredRouter,
 )
 from repro.sim.kernel.state import _NO_TARGET, RequestArray, TeamArray
 from repro.sim.requests import RescueRequest
@@ -75,10 +73,9 @@ class EventKernelSimulator(RescueSimulator):
         on_cycle: Callable[[int, float, bool], None] | None = None,
     ) -> None:
         if router is None:
-            # Same Dijkstra relax sequence as the seed router, on
-            # adjacency prefiltered per closed set (per-sim, not the
-            # process-wide cache: kernel runs are usually long).
-            router = PrefilteredRouter(scenario.network)
+            # Per-sim, not the process-wide cache: kernel runs are
+            # usually long.
+            router = RoutingCache(scenario.network)
         super().__init__(
             scenario, requests, dispatcher, config,
             faults=faults, router=router, on_cycle=on_cycle,
@@ -206,7 +203,7 @@ class EventKernelSimulator(RescueSimulator):
         # in ``_fields`` anyway.
         if self._field is None or self._field_closed is not self._closed:
             adjacency = None
-            if isinstance(self.router, PrefilteredRouter):
+            if isinstance(self.router, RoutingCache):
                 adjacency = self.router.adjacency(self._closed, reverse=True)
             self._field = self._fields.field(self._closed, adjacency=adjacency)
             self._field_closed = self._closed
@@ -420,41 +417,3 @@ class EventKernelSimulator(RescueSimulator):
             self._run_tick(float(self._tick_times[k]), k)
         return self._result
 
-
-# -- process-wide wiring -----------------------------------------------------
-
-_ENABLED = True
-
-
-def set_event_kernel_enabled(enabled: bool) -> bool:
-    """Flip the process-wide kernel switch; returns the previous setting.
-
-    The golden-equivalence suite uses this to run the same scenario
-    through the event kernel and the seed fixed-tick loop.
-    """
-    global _ENABLED  # repro: allow-fork-unsafe -- test-only switch; results identical either way
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-def event_kernel_enabled() -> bool:
-    return _ENABLED
-
-
-def build_simulator(
-    scenario: CharlotteScenario,
-    requests: list[RescueRequest],
-    dispatcher: Dispatcher,
-    config: SimulationConfig,
-    faults: "FaultInjector | None" = None,
-    router: Router | None = None,
-    on_cycle: Callable[[int, float, bool], None] | None = None,
-) -> RescueSimulator:
-    """The simulator the hot paths should construct: the event kernel, or
-    the seed fixed-tick engine when the kernel is disabled."""
-    cls = EventKernelSimulator if _ENABLED else RescueSimulator
-    return cls(
-        scenario, requests, dispatcher, config,
-        faults=faults, router=router, on_cycle=on_cycle,
-    )

@@ -1,13 +1,15 @@
-"""Routing and closure indexes for the event kernel.
+"""Hospital routing and flood-closure indexes for the event kernel.
 
-Three structures remove the seed engine's per-query routing cost without
-changing a single answer:
+Point-to-point searches go through the kernel's per-simulation
+:class:`~repro.perf.routing_cache.RoutingCache`.  Two structures here
+remove the rest of the seed engine's per-query cost without changing a
+single answer:
 
 * :class:`HospitalField` — one multi-source reverse Dijkstra per closed
   set answers every nearest-hospital query and every route-to-hospital
   for the whole fleet.  The seed path runs one full forward tree per
-  querying team (team positions drift every tick, so the PR 4 tree cache
-  rarely hits); the field replaces ~one tree per team-event with one
+  querying team (team positions drift every tick, so the routing cache's
+  trees rarely hit); the field replaces ~one tree per team-event with one
   search per flood front.  Settled labels are final when popped, and the
   heap orders ties by ``(distance, hospital list order)`` — exactly the
   seed argmin's first-minimum-wins scan — so the selected hospital and
@@ -24,12 +26,8 @@ changing a single answer:
   producing the identical frozenset — the very same object for as long
   as the flooded mask does not change (a closure epoch).
 
-* :class:`PrefilteredRouter` — the PR 4 :class:`RoutingCache` with the
-  closed-set membership test hoisted out of the Dijkstra inner loop:
-  adjacency rows for a closed set are filtered once per flood front, so
-  each search skips the per-edge ``in closed`` check.  Dropping rows the
-  seed loop ``continue``s over leaves the relax sequence — and therefore
-  every label, tie-break and tree — bit-identical.
+The field searches the reverse filtered adjacency the kernel's router
+already holds for the closed set (:meth:`RoutingCache.adjacency`).
 """
 
 from __future__ import annotations
@@ -38,27 +36,9 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.perf.routing_cache import RoutingCache, Tree
+from repro.perf.routing_cache import Adjacency, filtered_adjacency
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.routing import Route, route_from_segments, route_from_tree
-
-_WEIGHTS = ("time", "length")
-
-#: Adjacency with closed rows removed: node -> ((segment, other, time, length), ...).
-_Adjacency = dict[int, list[tuple[int, int, float, float]]]
-
-
-def filtered_adjacency(
-    network: RoadNetwork, closed: frozenset[int], reverse: bool = False
-) -> _Adjacency:
-    """Adjacency rows with closed segments dropped (relax order preserved)."""
-    adj = network.in_adjacency() if reverse else network.out_adjacency()
-    if not closed:
-        return adj
-    return {
-        node: [row for row in rows if row[0] not in closed]
-        for node, rows in adj.items()
-    }
+from repro.roadnet.routing import Route, route_from_segments
 
 
 class HospitalField:
@@ -71,7 +51,7 @@ class HospitalField:
         network: RoadNetwork,
         hospital_nodes: list[int],
         closed: frozenset[int],
-        adjacency: _Adjacency | None = None,
+        adjacency: Adjacency | None = None,
     ) -> None:
         self.network = network
         self.hospital_nodes = hospital_nodes
@@ -81,7 +61,7 @@ class HospitalField:
         self.next_seg: dict[int, int] = {}
         self._build(closed, adjacency)
 
-    def _build(self, closed: frozenset[int], adjacency: _Adjacency | None) -> None:
+    def _build(self, closed: frozenset[int], adjacency: Adjacency | None) -> None:
         import heapq
 
         adj = (
@@ -160,7 +140,7 @@ class HospitalFieldCache:
         self.builds = 0
 
     def field(
-        self, closed: frozenset[int], adjacency: _Adjacency | None = None
+        self, closed: frozenset[int], adjacency: Adjacency | None = None
     ) -> HospitalField:
         cached = self._fields.get(closed)
         if cached is not None:
@@ -213,117 +193,3 @@ class FloodClosureIndex:
             self._closed = frozenset(int(i) for i in self._seg_ids[flooded])
         return self._closed
 
-
-class PrefilteredRouter(RoutingCache):
-    """:class:`RoutingCache` running its searches on prefiltered adjacency.
-
-    Overrides only the two search call sites; the memoization policy
-    (first-touch target-pruned, second-touch full-tree promotion, LRU
-    bounds) is inherited unchanged.
-    """
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        max_closure_sets: int = 16,
-        max_trees_per_closure: int = 8192,
-    ) -> None:
-        super().__init__(network, max_closure_sets, max_trees_per_closure)
-        self._adjacencies: OrderedDict[tuple[frozenset[int], bool], _Adjacency] = (
-            OrderedDict()
-        )
-
-    def adjacency(self, closed: frozenset[int], reverse: bool = False) -> _Adjacency:
-        key = (closed, reverse)
-        cached = self._adjacencies.get(key)
-        if cached is not None:
-            self._adjacencies.move_to_end(key)
-            return cached
-        built = filtered_adjacency(self.network, closed, reverse)
-        self._adjacencies[key] = built
-        while len(self._adjacencies) > self.max_closure_sets:
-            self._adjacencies.popitem(last=False)
-        return built
-
-    def _search(
-        self,
-        root: int,
-        closed: frozenset[int],
-        weight: str,
-        reverse: bool = False,
-        target: int | None = None,
-    ) -> Tree:
-        """The seed ``dijkstra_tree`` loop minus the per-edge closed test."""
-        import heapq
-
-        if weight not in _WEIGHTS:
-            raise ValueError(f"weight must be one of {_WEIGHTS}")
-        self.network.landmark(root)
-        adj = self.adjacency(closed, reverse)
-        wi = 2 if weight == "time" else 3
-        dist: dict[int, float] = {root: 0.0}
-        prev_seg: dict[int, int] = {}
-        done: set[int] = set()
-        heap: list[tuple[float, int]] = [(0.0, root)]
-        inf = float("inf")
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in done:
-                continue
-            if target is not None and node == target:
-                break
-            done.add(node)
-            for row in adj[node]:
-                nd = d + row[wi]
-                other = row[1]
-                if nd < dist.get(other, inf):
-                    dist[other] = nd
-                    prev_seg[other] = row[0]
-                    heapq.heappush(heap, (nd, other))
-        return dist, prev_seg
-
-    # -- RoutingCache search call sites, redirected --------------------------
-
-    def _tree(
-        self, root: int, closed: frozenset[int], weight: str, reverse: bool
-    ) -> Tree:
-        line = self._line(closed, weight)
-        tkey = (root, reverse)
-        tree = line.trees.get(tkey)
-        if tree is None:
-            self.misses += 1
-            tree = self._search(root, closed, weight, reverse=reverse)
-            self._store(line, tkey, tree)
-        else:
-            self.hits += 1
-            line.trees.move_to_end(tkey)
-        return tree
-
-    def route(
-        self,
-        src: int,
-        dst: int,
-        closed: frozenset[int] = frozenset(),
-        weight: str = "time",
-    ) -> Route | None:
-        if weight not in _WEIGHTS:
-            raise ValueError(f"weight must be one of {_WEIGHTS}")
-        self.network.landmark(src)
-        self.network.landmark(dst)
-        if src == dst:
-            return Route((src,), (), 0.0, 0.0)
-        line = self._line(closed, weight)
-        tkey = (src, False)
-        tree = line.trees.get(tkey)
-        if tree is not None:
-            self.hits += 1
-            line.trees.move_to_end(tkey)
-        elif tkey in line.seen:
-            self.misses += 1
-            tree = self._search(src, closed, weight)
-            self._store(line, tkey, tree)
-        else:
-            line.seen.add(tkey)
-            self.misses += 1
-            tree = self._search(src, closed, weight, target=dst)
-        return route_from_tree(self.network, src, dst, tree[1])

@@ -249,6 +249,95 @@ class TestPersistence:
             trained.agent.q_net.forward(s), loaded.agent.q_net.forward(s)
         )
 
+    @staticmethod
+    def _six_hour_ungated(trained, scenario):
+        predictor = trained.predictor.clone_for(scenario)
+        predictor.flood_gated = False
+        predictor.flood_forecast_horizon_s = 6.0 * SECONDS_PER_HOUR
+        return predictor
+
+    @staticmethod
+    def _assert_same_predictions(a, b, scenario):
+        nodes = scenario.network.landmark_ids()
+        start = scenario.timeline.storm_start_s
+        for t in (start, start + 12 * SECONDS_PER_HOUR, start + 2 * SECONDS_PER_DAY):
+            np.testing.assert_array_equal(
+                a.predict_node_labels(nodes, t), b.predict_node_labels(nodes, t)
+            )
+
+    def test_flood_gate_survives_archive(self, trained, michael_small, tmp_path):
+        import dataclasses
+
+        scenario, _ = michael_small
+        predictor = self._six_hour_ungated(trained, scenario)
+        path = tmp_path / "m.npz"
+        save_trained(dataclasses.replace(trained, predictor=predictor), path)
+        loaded = load_trained(path, scenario).predictor
+        assert loaded.flood_gated is False
+        assert loaded.flood_forecast_horizon_s == 6.0 * SECONDS_PER_HOUR
+        self._assert_same_predictions(predictor, loaded, scenario)
+
+    def test_flood_gate_survives_checkpoint(self, trained, michael_small, tmp_path):
+        from repro.core.persistence import (
+            checkpoint_from_training,
+            load_checkpoint,
+            restore_predictor,
+            save_checkpoint,
+        )
+
+        scenario, _ = michael_small
+        predictor = self._six_hour_ungated(trained, scenario)
+        ckpt = checkpoint_from_training(
+            trained.agent, predictor, trained.config, 1, [0.5]
+        )
+        loaded = restore_predictor(load_checkpoint(save_checkpoint(tmp_path, ckpt)), scenario)
+        assert loaded.flood_gated is False
+        assert loaded.flood_forecast_horizon_s == 6.0 * SECONDS_PER_HOUR
+        self._assert_same_predictions(predictor, loaded, scenario)
+
+    def test_v2_archive_loads_with_default_gate(self, trained, michael_small, tmp_path):
+        from repro.core.artifacts import atomic_savez
+
+        scenario, _ = michael_small
+        path = tmp_path / "m.npz"
+        save_trained(trained, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        # Strip everything the v3 format added, as a v2 writer would have.
+        del arrays["flood_gated"], arrays["flood_forecast_horizon_s"]
+        arrays["version"] = np.array([2])
+        atomic_savez(path, **arrays)
+
+        loaded = load_trained(path, scenario).predictor
+        assert loaded.flood_gated is True
+        assert loaded.flood_forecast_horizon_s == 12.0 * SECONDS_PER_HOUR
+        self._assert_same_predictions(trained.predictor, loaded, scenario)
+
+    def test_v1_checkpoint_loads_with_default_gate(self, trained, michael_small, tmp_path):
+        from repro.core.artifacts import atomic_savez, write_manifest
+        from repro.core.persistence import (
+            checkpoint_from_training,
+            load_checkpoint,
+            restore_predictor,
+            save_checkpoint,
+        )
+
+        scenario, _ = michael_small
+        ckpt = checkpoint_from_training(
+            trained.agent, trained.predictor, trained.config, 1, [0.5]
+        )
+        path = save_checkpoint(tmp_path, ckpt)
+        with np.load(path / "state.npz", allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files}
+        del arrays["predictor.flood_gated"], arrays["predictor.flood_forecast_horizon_s"]
+        arrays["version"] = np.array([1])
+        atomic_savez(path / "state.npz", **arrays)
+        write_manifest(path, 1)
+
+        loaded = restore_predictor(load_checkpoint(path), scenario)
+        assert loaded.flood_gated is True
+        assert loaded.flood_forecast_horizon_s == 12.0 * SECONDS_PER_HOUR
+
     def test_unknown_config_key_dropped_with_warning(
         self, trained, michael_small, tmp_path, caplog
     ):

@@ -1,8 +1,9 @@
 """Golden-equivalence suite: the event kernel must change nothing.
 
 One fixed-seed workload is pushed through the engine twice — once through
-the seed fixed-step :class:`RescueSimulator`, once through the
-event-driven :class:`EventKernelSimulator` — and every recorded artifact
+the seed fixed-step :class:`RescueSimulator` routing with the seed per-call
+Dijkstra (:class:`DirectRouter`), once through the event-driven
+:class:`EventKernelSimulator` with its default router — and every recorded artifact
 (pickups, deliveries, serving samples, incidents, reward traces) must be
 *bit-identical*: exact float equality, not approx.  The kernel skips
 ticks and reorders nothing observable; any divergence means it did.
@@ -21,13 +22,9 @@ import pytest
 from repro.dispatch.nearest import NearestDispatcher
 from repro.dispatch.rescue_ts import RescueTsDispatcher
 from repro.faults import make_injector
-from repro.perf.routing_cache import RoutingCache
+from repro.perf.routing_cache import DirectRouter
 from repro.sim.engine import RescueSimulator, SimulationConfig
-from repro.sim.kernel import (
-    EventKernelSimulator,
-    build_simulator,
-    set_event_kernel_enabled,
-)
+from repro.sim.kernel import EventKernelSimulator
 from repro.sim.requests import RescueRequest
 
 
@@ -93,7 +90,7 @@ class TestKernelGoldenEquivalence:
 
         seed_result = _run(
             RescueSimulator, scenario, requests, config,
-            faults=faults(), router=RoutingCache(scenario.network),
+            faults=faults(), router=DirectRouter(scenario.network),
         )
         kernel_result = _run(
             EventKernelSimulator, scenario, requests, config, faults=faults()
@@ -110,7 +107,7 @@ class TestKernelGoldenEquivalence:
         config = _config(t0, t1, step_s=10.0)
         seed_result = _run(
             RescueSimulator, scenario, requests, config,
-            router=RoutingCache(scenario.network),
+            router=DirectRouter(scenario.network),
         )
         sim = EventKernelSimulator(
             scenario, list(requests), NearestDispatcher(), config
@@ -128,35 +125,13 @@ class TestKernelGoldenEquivalence:
         seed_result = _run(
             RescueSimulator, scenario, requests, config,
             dispatcher=RescueTsDispatcher(),
-            router=RoutingCache(scenario.network),
+            router=DirectRouter(scenario.network),
         )
         kernel_result = _run(
             EventKernelSimulator, scenario, requests, config,
             dispatcher=RescueTsDispatcher(),
         )
         _assert_bit_identical(seed_result, kernel_result)
-
-    def test_process_toggle_equivalence(self, kernel_window):
-        """``build_simulator`` + the global switch select equivalent engines."""
-        scenario, requests, t0, t1 = kernel_window
-        config = _config(t0, t1)
-        previous = set_event_kernel_enabled(False)
-        try:
-            sim = build_simulator(
-                scenario, list(requests), NearestDispatcher(), config,
-                router=RoutingCache(scenario.network),
-            )
-            assert not isinstance(sim, EventKernelSimulator)
-            off = sim.run()
-            set_event_kernel_enabled(True)
-            sim = build_simulator(
-                scenario, list(requests), NearestDispatcher(), config
-            )
-            assert isinstance(sim, EventKernelSimulator)
-            on = sim.run()
-        finally:
-            set_event_kernel_enabled(previous)
-        _assert_bit_identical(off, on)
 
 
 class TestRewardTraceEquivalence:
@@ -202,7 +177,7 @@ class TestRewardTraceEquivalence:
             return result, trace
 
         seed_result, seed_trace = run_with(
-            RescueSimulator, RoutingCache(scenario.network)
+            RescueSimulator, DirectRouter(scenario.network)
         )
         kernel_result, kernel_trace = run_with(EventKernelSimulator, None)
         assert seed_trace, "training run must record transitions"

@@ -15,12 +15,7 @@ import pytest
 
 from repro.dispatch.nearest import NearestDispatcher
 from repro.dispatch.rescue_ts import RescueTsDispatcher
-from repro.perf.routing_cache import (
-    DirectRouter,
-    RoutingCache,
-    clear_routing_caches,
-    set_routing_cache_enabled,
-)
+from repro.perf.routing_cache import DirectRouter, RoutingCache
 from repro.sim.engine import RescueSimulator, SimulationConfig
 from repro.sim.requests import remap_to_operable, requests_from_rescues
 from repro.weather.storms import SECONDS_PER_DAY, day_index
@@ -87,22 +82,6 @@ class TestEngineGoldenEquivalence:
         )
         _assert_bit_identical(seed_result, cached_result)
 
-    def test_process_toggle_equivalence(self, eval_window):
-        """The default-router wiring (global switch) is equivalent too."""
-        scenario, requests, config = eval_window
-        dispatcher = NearestDispatcher()
-        previous = set_routing_cache_enabled(False)
-        try:
-            clear_routing_caches()
-            off = _run(scenario, requests, config, dispatcher, None)
-            set_routing_cache_enabled(True)
-            clear_routing_caches()
-            on = _run(scenario, requests, config, dispatcher, None)
-        finally:
-            set_routing_cache_enabled(previous)
-            clear_routing_caches()
-        _assert_bit_identical(off, on)
-
     def test_repeat_cached_runs_are_deterministic(self, eval_window):
         """A warm cache must answer exactly like a cold one."""
         scenario, requests, config = eval_window
@@ -116,8 +95,10 @@ class TestEngineGoldenEquivalence:
 class TestRewardTraceEquivalence:
     def test_rl_reward_trace_bit_identical(self, michael_small, eval_window):
         """The MobiRescue dispatcher's training transitions — state, action,
-        reward, next-state — must be byte-for-byte the same with and
-        without the routing cache."""
+        reward, next-state — must be byte-for-byte the same whether the
+        engine routes through :class:`DirectRouter` or :class:`RoutingCache`.
+        Only the engine's router varies: the dispatcher's pending-request
+        matching consults the process-wide cache in both runs."""
         from repro.core.config import MobiRescueConfig
         from repro.core.predictor import RequestPredictor, TrainingSet
         from repro.core.rl_dispatcher import MobiRescueDispatcher, make_agent

@@ -15,10 +15,8 @@ from repro.perf.routing_cache import (
     DirectRouter,
     RoutingCache,
     clear_routing_caches,
-    default_router,
+    filtered_adjacency,
     routing_cache,
-    routing_cache_enabled,
-    set_routing_cache_enabled,
 )
 from repro.roadnet.routing import (
     dijkstra_tree,
@@ -27,6 +25,7 @@ from repro.roadnet.routing import (
     shortest_time_from,
     shortest_time_to,
 )
+from repro.sim.kernel.routing import HospitalField
 
 NUM_CASES = 200
 
@@ -71,8 +70,8 @@ class TestRandomizedEquivalence:
                     if expected is None:
                         unreachable += 1
                     else:
-                        # Exact float equality, not approx: same routine,
-                        # same relaxation order, same accumulation.
+                        # Exact float equality, not approx: same relaxation
+                        # order, same accumulation.
                         assert got.travel_time_s == expected.travel_time_s
                         assert got.nodes == expected.nodes
                         assert got.segment_ids == expected.segment_ids
@@ -167,6 +166,22 @@ class TestCacheMechanics:
             assert len(cache._closures) <= 2
             assert all(len(line.trees) <= 4 for line in cache._closures.values())
 
+    def test_adjacency_lru_bounded_and_cleared(self, net):
+        rng = np.random.default_rng(47)
+        seg_ids = np.array(net.segment_ids())
+        cache = RoutingCache(net, max_closure_sets=2)
+        closures = [_random_closed(rng, seg_ids, f) for f in (0.05, 0.1, 0.3)]
+        for closed in closures:
+            for reverse in (False, True):
+                adj = cache.adjacency(closed, reverse=reverse)
+                assert cache.adjacency(closed, reverse=reverse) is adj
+                assert len(cache._adjacencies) <= 2
+        assert set(cache._adjacencies) == {(closures[-1], False), (closures[-1], True)}
+        cache.route(int(net.landmark_ids()[0]), int(net.landmark_ids()[1]))
+        cache.clear()
+        assert not cache._adjacencies
+        assert cache.num_trees == 0
+
     def test_invalid_weight_rejected(self, net):
         cache = RoutingCache(net)
         nodes = net.landmark_ids()
@@ -195,26 +210,12 @@ class TestCacheMechanics:
 
 
 class TestProcessWideWiring:
-    def test_toggle_switches_router_kind(self, net):
-        clear_routing_caches()
-        previous = set_routing_cache_enabled(True)
-        try:
-            assert routing_cache_enabled()
-            assert isinstance(default_router(net), RoutingCache)
-            assert set_routing_cache_enabled(False) is True
-            assert isinstance(default_router(net), DirectRouter)
-        finally:
-            set_routing_cache_enabled(previous)
-            clear_routing_caches()
-
     def test_cache_is_per_network_and_reused(self, net):
         clear_routing_caches()
-        previous = set_routing_cache_enabled(True)
         try:
             a = routing_cache(net)
             assert routing_cache(net) is a
         finally:
-            set_routing_cache_enabled(previous)
             clear_routing_caches()
 
     def test_direct_router_matches_seed_functions(self, net):
@@ -226,6 +227,60 @@ class TestProcessWideWiring:
         assert router.time_to(dst) == shortest_time_to(net, dst)
         seg = int(net.segment_ids()[5])
         assert router.route_to_segment(src, seg) == route_to_segment(net, src, seg)
+
+
+class TestFilteredAdjacency:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_drops_exactly_closed_rows_in_order(self, net, reverse):
+        rng = np.random.default_rng(48)
+        seg_ids = np.array(net.segment_ids())
+        base = net.in_adjacency() if reverse else net.out_adjacency()
+        for fraction in (0.02, 0.3, 1.0):
+            closed = _random_closed(rng, seg_ids, fraction)
+            adj = filtered_adjacency(net, closed, reverse=reverse)
+            assert list(adj) == list(base)
+            for node, rows in base.items():
+                assert adj[node] == [row for row in rows if row[0] not in closed]
+
+    def test_empty_closed_set_is_base_adjacency(self, net):
+        assert filtered_adjacency(net, frozenset()) is net.out_adjacency()
+        assert filtered_adjacency(net, frozenset(), reverse=True) is net.in_adjacency()
+
+
+class TestHospitalField:
+    def test_matches_argmin_over_direct_router(self, florence_scenario):
+        """Nearest hospital and the route to it equal a first-minimum argmin
+        over seed forward searches.  Nodes whose two best hospitals tie
+        exactly in float are skipped: the reverse search sums segment times
+        in the opposite order, so the tie-break there is not comparable."""
+        net = florence_scenario.network
+        hospitals = [h.node_id for h in florence_scenario.hospitals]
+        router = DirectRouter(net)
+        rng = np.random.default_rng(49)
+        nodes = np.array(net.landmark_ids())
+        seg_ids = np.array(net.segment_ids())
+        checked = unreachable = 0
+        for fraction in (0.0, 0.05, 0.2, 0.5):
+            closed = _random_closed(rng, seg_ids, fraction)
+            field = HospitalField(net, hospitals, closed)
+            for node in rng.choice(nodes, size=25, replace=False):
+                node = int(node)
+                times = router.time_from(node, closed=closed)
+                costs = [times.get(h, float("inf")) for h in hospitals]
+                best = min(costs)
+                if best == float("inf"):
+                    unreachable += 1
+                    assert node not in field.nearest
+                    assert field.route(node) is None
+                    continue
+                if costs.count(best) > 1:
+                    continue
+                target = hospitals[costs.index(best)]
+                checked += 1
+                assert field.nearest[node] == target
+                assert field.route(node) == router.route(node, target, closed=closed)
+        assert checked > 50
+        assert unreachable > 0, "closure densities must maroon some nodes"
 
 
 class TestPrunedTreeProperty:
