@@ -176,8 +176,12 @@ class DegradedPositionFeed:
     the snapshot entirely, so the predictor plans only on what the
     dispatch center would actually see.
 
-    Results are not cached here: the inner feed caches its own answers,
-    and the outage overlay is a cheap per-person membership test.
+    Results are not cached here: the inner feed caches its own answers.
+    Each person's outage windows are sampled once, the first time the
+    person appears, into one flat window table; a query is then one
+    vectorized staleness mask over that table, and only the stale people
+    are visited one by one.  Windows stay keyed per person, so the order
+    in which people are first seen cannot change them.
     """
 
     def __init__(self, inner: PositionFeed, faults: "FaultInjector") -> None:
@@ -187,6 +191,14 @@ class DegradedPositionFeed:
         self.fallback_uses = 0
         #: People withheld (stale fix, no history to fall back on).
         self.stale_drops = 0
+        # Flat window table: window j covers [_starts[j], _ends[j]) and
+        # belongs to table row _owner[j]; _row_of[pid] is the person's row,
+        # -1 until the person is first seen.
+        self._row_of = np.full(0, -1, dtype=np.intp)
+        self._rows = 0
+        self._starts = np.zeros(0)
+        self._ends = np.zeros(0)
+        self._owner = np.zeros(0, dtype=np.intp)
 
     def habitual_node(self, pid: int, t_seconds: float) -> int | None:
         """Delegate so stacked wrappers keep the fallback path."""
@@ -195,16 +207,49 @@ class DegradedPositionFeed:
             return None
         return inner_habitual(pid, t_seconds)
 
+    def _rows_for(self, pids: np.ndarray) -> np.ndarray:
+        """Table rows of ``pids``, sampling the windows of new people."""
+        if pids.size and pids.max() >= self._row_of.size:
+            grown = np.full(int(pids.max()) + 1, -1, dtype=np.intp)
+            grown[: self._row_of.size] = self._row_of
+            self._row_of = grown
+        rows = self._row_of[pids]
+        new = pids[rows < 0]
+        if new.size:
+            starts: list[float] = []
+            ends: list[float] = []
+            owner: list[int] = []
+            for row, pid in enumerate(new.tolist(), start=self._rows):
+                for window in self.faults.gps_windows(pid):
+                    starts.append(window.start_s)
+                    ends.append(window.end_s)
+                    owner.append(row)
+            self._row_of[new] = np.arange(self._rows, self._rows + new.size)
+            self._rows += new.size
+            self._starts = np.concatenate([self._starts, starts])
+            self._ends = np.concatenate([self._ends, ends])
+            self._owner = np.concatenate([self._owner, np.array(owner, dtype=np.intp)])
+            rows = self._row_of[pids]
+        return rows
+
     def __call__(self, t_seconds: float) -> dict[int, int]:
         base = self.inner(t_seconds)
+        out = dict(base)
+        pids = np.fromiter(base, dtype=np.intp, count=len(base))
+        rows = self._rows_for(pids)
+        covering = (self._starts <= t_seconds) & (t_seconds < self._ends)
+        stale_rows = np.zeros(self._rows, dtype=bool)
+        stale_rows[self._owner[covering]] = True
+        stale = stale_rows[rows]
+        if not stale.any():
+            return out
         inner_habitual = getattr(self.inner, "habitual_node", None)
-        out: dict[int, int] = {}
-        for pid, node in base.items():
-            if not self.faults.gps_stale(pid, t_seconds):
-                out[pid] = node
-                continue
+        # Updating or deleting keys of the copy keeps every other key in
+        # the inner feed's order.
+        for pid in pids[stale].tolist():
             estimated = inner_habitual(pid, t_seconds) if inner_habitual else None
             if estimated is None:
+                del out[pid]
                 self.stale_drops += 1
             else:
                 out[pid] = estimated

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.config import MobiRescueConfig
 from repro.core.predictor import RequestPredictor
-from repro.core.state import build_context
+from repro.core.state import CandidateTable, build_context
 from repro.data.charlotte import CharlotteScenario
 from repro.dispatch.base import (
     DispatchObservation,
@@ -214,21 +214,22 @@ class MobiRescueDispatcher(Dispatcher):
                 continue
             deciding.append(team)
 
-        empty_pending: dict[int, float] = {}
-        for team in deciding:
-            ctx = build_context(
-                team, empty_pending, dict(predicted), oracle, obs.closed, flood_level, cfg
+        # One candidate table per cycle; each team's claim updates it in
+        # place so later teams spread out.
+        if deciding:
+            table = CandidateTable(
+                deciding, {}, predicted, oracle, obs.closed, flood_level, cfg
             )
-            greedy = not self.training
+        greedy = not self.training
+        for row, team in enumerate(deciding):
+            ctx = build_context(table, row)
             action = self.agent.act(ctx.state, ctx.valid_actions, greedy=greedy)
             self._close_transition(team.team_id, team.total_pickups, ctx.state)
 
             if action < len(ctx.candidate_segments):
                 seg = ctx.candidate_segments[action]
                 commands[team.team_id] = command_segment(seg)
-                predicted[seg] = max(
-                    0.0, predicted[seg] - float(max(1, team.capacity_left))
-                )
+                table.claim(seg, float(max(1, team.capacity_left)))
                 travel = ctx.travel_times[action]
                 serving = True
             else:

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-import numpy as np
-
 from repro.dispatch.assignment import expand_demand_slots, solve_assignment
 from repro.dispatch.base import (
     DispatchObservation,
@@ -131,7 +129,7 @@ class RescueTsDispatcher(Dispatcher):
         commands: dict[int, TeamCommand] = {}
         assigned: set[int] = set()
         if slots:
-            cost = np.vstack([oracle.node_to_segments_s(t.node, slots) for t in teams])
+            cost = oracle.nodes_to_segments_s([t.node for t in teams], slots)
             for r, c in solve_assignment(cost):
                 commands[teams[r].team_id] = command_segment(slots[c])
                 assigned.add(teams[r].team_id)

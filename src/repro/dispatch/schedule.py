@@ -16,8 +16,6 @@ On-demand integer-programming dispatch for *normal* situations:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.dispatch.assignment import expand_demand_slots, solve_assignment
 from repro.dispatch.base import (
     DispatchObservation,
@@ -57,7 +55,7 @@ class ScheduleDispatcher(Dispatcher):
         commands: dict[int, TeamCommand] = {}
         assigned: set[int] = set()
         if slots:
-            cost = np.vstack([oracle.node_to_segments_s(t.node, slots) for t in teams])
+            cost = oracle.nodes_to_segments_s([t.node for t in teams], slots)
             for r, c in solve_assignment(cost):
                 commands[teams[r].team_id] = command_segment(slots[c])
                 assigned.add(teams[r].team_id)

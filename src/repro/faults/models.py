@@ -602,8 +602,12 @@ class FaultInjector:
 
     def gps_stale(self, person_id: int, t_s: float) -> bool:
         """Is this person's GPS fix unavailable right now?"""
-        windows = self._windows(self.profile.gps, STREAM_FAULT_GPS, person_id, self._gps)
-        return self._covering(windows, t_s) is not None
+        return self._covering(self.gps_windows(person_id), t_s) is not None
+
+    def gps_windows(self, person_id: int) -> tuple[OutageWindow, ...]:
+        """This person's full GPS outage schedule (sorted, disjoint), from
+        the same lazily-sampled cache :meth:`gps_stale` reads."""
+        return self._windows(self.profile.gps, STREAM_FAULT_GPS, person_id, self._gps)
 
     # -- communication ------------------------------------------------------
 

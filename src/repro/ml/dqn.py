@@ -59,6 +59,7 @@ class DQNAgent:
         self.rng = np.random.default_rng(config.seed)
         self.epsilon = config.epsilon_start
         self.learn_steps = 0
+        self._rows = np.arange(config.batch_size)
         #: Optional per-step tap called as ``observer(agent, loss)`` after
         #: every completed :meth:`learn` update.  The agent never passes it
         #: randomness and ignores its return value, so a read-only observer
@@ -85,9 +86,8 @@ class DQNAgent:
         if not greedy and self.rng.random() < self.epsilon:
             choices = np.nonzero(valid_actions)[0]
             return int(self.rng.choice(choices))
-        q = self.q_values(state).copy()
-        q[~valid_actions] = -np.inf
-        return int(np.argmax(q))
+        q = self.q_net.predict_one(state)
+        return int(np.argmax(np.where(valid_actions, q, -np.inf)))
 
     def remember(
         self, state: np.ndarray, action: int, reward: float, next_state: np.ndarray, done: bool
@@ -106,12 +106,15 @@ class DQNAgent:
         q_next = self.target_net.forward(next_states).max(axis=1)
         targets_a = rewards + cfg.gamma * q_next * (~dones)
 
-        target = self.q_net.forward(states).copy()
+        # One Q-net pass serves both the target (non-taken actions keep
+        # their own value, so only the taken action's error counts) and
+        # the gradient step.
+        activations = self.q_net.forward_cached(states)
+        target = activations[-1].copy()
         mask = np.zeros_like(target)
-        rows = np.arange(cfg.batch_size)
-        target[rows, actions] = targets_a
-        mask[rows, actions] = 1.0
-        loss = self.q_net.train_step(states, target, output_mask=mask)
+        target[self._rows, actions] = targets_a
+        mask[self._rows, actions] = 1.0
+        loss = self.q_net.train_step_cached(activations, target, output_mask=mask)
 
         self.learn_steps += 1
         self.epsilon = max(cfg.epsilon_end, self.epsilon * cfg.epsilon_decay)

@@ -15,6 +15,10 @@ scale without changing a single simulated outcome:
 Every optimized path ships with an equivalence proof in
 ``tests/test_perf_equivalence.py`` / ``tests/test_perf_routing_cache.py``;
 see ``docs/PERFORMANCE.md`` for the design and invalidation rules.
+
+The per-network factory ``routing_cache`` is not re-exported here: the
+name belongs to its submodule, so ``import repro.perf.routing_cache``
+binds the module.
 """
 
 from repro.perf.routing_cache import (
@@ -22,7 +26,6 @@ from repro.perf.routing_cache import (
     Router,
     RoutingCache,
     clear_routing_caches,
-    routing_cache,
 )
 
 __all__ = [
@@ -30,5 +33,4 @@ __all__ = [
     "Router",
     "RoutingCache",
     "clear_routing_caches",
-    "routing_cache",
 ]

@@ -57,6 +57,16 @@ class TravelTimeOracle:
         idx = np.array([self._seg_index[s] for s in segment_ids])
         return self._times[self._index[src], self._seg_u[idx]] + self._seg_time[idx]
 
+    def nodes_to_segments_s(
+        self, srcs: list[int], segment_ids: list[int]
+    ) -> np.ndarray:
+        """:meth:`node_to_segments_s` for many sources in one gather:
+        ``(len(srcs), len(segment_ids))``, row ``i`` equal to
+        ``node_to_segments_s(srcs[i], segment_ids)``."""
+        idx = np.array([self._seg_index[s] for s in segment_ids], dtype=np.intp)
+        rows = np.array([self._index[n] for n in srcs], dtype=np.intp)
+        return self._times[np.ix_(rows, self._seg_u[idx])] + self._seg_time[idx]
+
 
 _ORACLE_CACHE: dict[int, TravelTimeOracle] = {}
 

@@ -137,7 +137,6 @@ class HospitalFieldCache:
         self.hospital_nodes = list(hospital_nodes)
         self.max_sets = int(max_sets)
         self._fields: OrderedDict[frozenset[int], HospitalField] = OrderedDict()
-        self.builds = 0
 
     def field(
         self, closed: frozenset[int], adjacency: Adjacency | None = None
@@ -146,7 +145,6 @@ class HospitalFieldCache:
         if cached is not None:
             self._fields.move_to_end(closed)
             return cached
-        self.builds += 1
         built = HospitalField(self.network, self.hospital_nodes, closed, adjacency)
         self._fields[closed] = built
         while len(self._fields) > self.max_sets:

@@ -368,11 +368,18 @@ class TestFaultDeterminism:
 
 class TestDegradedPositionFeed:
     class _StubInjector:
+        """People in ``stale_ids`` are stale at every time."""
+
         def __init__(self, stale_ids):
             self.stale_ids = stale_ids
 
         def gps_stale(self, pid, t):
             return pid in self.stale_ids
+
+        def gps_windows(self, pid):
+            if pid in self.stale_ids:
+                return (OutageWindow(-np.inf, np.inf),)
+            return ()
 
     def test_drops_stale_without_history(self):
         inner = lambda t: {1: 10, 2: 20, 3: 30}  # noqa: E731
@@ -398,3 +405,49 @@ class TestDegradedPositionFeed:
         inner = lambda t: {1: 10, 2: 20}  # noqa: E731
         feed = DegradedPositionFeed(inner, self._StubInjector(set()))
         assert feed(5.0) == inner(5.0)
+
+    def test_matches_per_person_gps_stale_under_severe(self):
+        """The flat window table answers exactly what per-person
+        ``gps_stale`` calls answer: same dict, same key order, same
+        counters, whatever order people are first seen in."""
+
+        class Inner:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __call__(self, t):
+                # A varying, shuffled population, so people first appear
+                # at different times and in a different order per call.
+                pids = self.rng.permutation(400)[: int(self.rng.integers(50, 400))]
+                return {int(p): int(p) % 37 for p in pids}
+
+            def habitual_node(self, pid, t):
+                return None if pid % 3 == 0 else 1_000 + pid
+
+        t0, t1 = 0.0, 2 * DAY
+        feed = DegradedPositionFeed(
+            Inner(np.random.default_rng(1)), make_injector("severe", t0, t1, seed=5)
+        )
+        reference_inner = Inner(np.random.default_rng(1))
+        faults = make_injector("severe", t0, t1, seed=5)
+        # Sample the reference's windows in the opposite order of ids.
+        for pid in range(399, -1, -1):
+            faults.gps_stale(pid, t0)
+        drops = uses = stale_seen = 0
+        for t in np.linspace(t0, t1, 97):
+            want: dict[int, int] = {}
+            for pid, node in reference_inner(float(t)).items():
+                if not faults.gps_stale(pid, float(t)):
+                    want[pid] = node
+                    continue
+                stale_seen += 1
+                estimated = reference_inner.habitual_node(pid, float(t))
+                if estimated is None:
+                    drops += 1
+                else:
+                    want[pid] = estimated
+                    uses += 1
+            got = feed(float(t))
+            assert list(got.items()) == list(want.items())
+            assert (feed.stale_drops, feed.fallback_uses) == (drops, uses)
+        assert drops > 0 and uses > 0 and stale_seen > 0

@@ -1,5 +1,7 @@
 """Tests for the numpy MLP, replay buffer and DQN agent."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,38 @@ class TestMLP:
         net = MLP([3, 5, 2])
         with pytest.raises(ValueError):
             net.set_weights(net.get_weights()[:1])
+
+    def test_layers_are_views_of_the_flat_buffers(self):
+        net = MLP([3, 5, 2], seed=7)
+        for layer in net.layers:
+            for arr in (layer.w, layer.b, layer.grad_w, layer.m_b, layer.v_w):
+                assert not arr.flags.owndata
+        net.layers[1].b[0] = 42.0
+        assert 42.0 in net.params
+        # A deep copy rebinds its views to its own buffers.
+        other = copy.deepcopy(net)
+        x = np.ones((2, 3))
+        other.train_step(x, np.zeros((2, 2)))
+        assert other.layers[0].w.base is not None
+        assert np.array_equal(other.layers[0].w.ravel(), other.params[:15])
+        assert not np.array_equal(other.params, net.params)
+        assert net.layers[1].b[0] == 42.0
+
+    def test_train_state_keys_and_adam_step_check(self):
+        net = MLP([3, 5, 2], seed=8)
+        net.train_step(np.ones((2, 3)), np.zeros((2, 2)))
+        state = net.get_train_state()
+        assert sorted(state) == sorted(
+            [f"{t}{i}" for t in "wb" for i in range(2)]
+            + [f"adam_{t}{i}_{k}" for t in "wb" for i in range(2) for k in "mvt"]
+        )
+        assert all(state[f"adam_{t}{i}_t"][0] == 1 for t in "wb" for i in range(2))
+        fresh = MLP([3, 5, 2])
+        fresh.set_train_state(state)
+        assert all(np.array_equal(v, fresh.get_train_state()[k]) for k, v in state.items())
+        state["adam_b1_t"] = np.array([2], dtype=np.int64)
+        with pytest.raises(ValueError, match="step counts"):
+            fresh.set_train_state(state)
 
 
 class TestReplayBuffer:

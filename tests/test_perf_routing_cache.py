@@ -306,3 +306,15 @@ class TestPrunedTreeProperty:
             # overestimate but never undercut the final label.
             for other, d in dist.items():
                 assert d >= full_dist[other]
+
+
+def test_dotted_import_binds_the_module():
+    """``repro.perf`` does not shadow its submodule with the factory of the
+    same name, so a dotted import reaches the module's other names."""
+    import repro.perf
+    import repro.perf.routing_cache as rc
+
+    assert rc.__name__ == "repro.perf.routing_cache"
+    assert rc.filtered_adjacency is filtered_adjacency
+    assert rc.routing_cache is routing_cache
+    assert repro.perf.routing_cache is rc
