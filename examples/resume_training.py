@@ -8,7 +8,11 @@ verifies the resumed run is **bit-identical** to a straight-through
 four-episode run — same Q-network weights, same epsilon, same learn-step
 count, same per-episode service rates.  It then damages the latest
 checkpoint and lets the supervisor recover: the corrupt checkpoint is
-quarantined and training resumes from the previous valid one.
+quarantined, journaled, and training resumes from the previous valid one.
+
+All runs use the one checkpointing loop, ``sentinel_training``, with the
+numeric-health sentinel off (``repro train --no-sentinel``); see
+``examples/self_healing_training.py`` for the sentinel itself.
 
 Run:  python examples/resume_training.py
 """
@@ -20,16 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import (
-    MobiRescueConfig,
-    RetryPolicy,
-    Supervisor,
-    resume_training,
-    supervised_training,
-    train_mobirescue,
-)
+from repro.core import MobiRescueConfig, RetryPolicy, Supervisor, train_mobirescue
 from repro.core.persistence import list_checkpoints
 from repro.data import build_michael_dataset
+from repro.training import sentinel_training, supervised_sentinel_training
 
 POPULATION = 400
 EPISODES = 4
@@ -45,34 +43,34 @@ def weights_equal(a, b) -> bool:
     )
 
 
+def checkpointed(scenario, bundle, checkpoint_dir: Path, episodes: int):
+    return sentinel_training(
+        scenario, bundle, CFG, episodes=episodes, num_teams=NUM_TEAMS,
+        checkpoint_dir=checkpoint_dir, use_sentinel=False,
+    ).trained
+
+
 def main() -> None:
     print(f"Building the Michael dataset (population {POPULATION})...")
     scenario, bundle = build_michael_dataset(population_size=POPULATION)
 
     with tempfile.TemporaryDirectory() as tmp:
-        straight_dir = Path(tmp) / "straight"
         crashed_dir = Path(tmp) / "crashed"
 
-        print(f"\n[1] Straight-through run: {EPISODES} episodes")
+        print(f"\n[1] Straight-through run: {EPISODES} episodes, in memory")
         straight = train_mobirescue(
             scenario, bundle, CFG, episodes=EPISODES, num_teams=NUM_TEAMS,
-            checkpoint_dir=straight_dir,
         )
         print(f"    service rates: "
               f"{' '.join(f'{r:.2f}' for r in straight.episode_service_rates)}")
 
         print(f"\n[2] 'Crashed' run: killed after episode {INTERRUPT_AFTER}")
-        train_mobirescue(
-            scenario, bundle, CFG, episodes=INTERRUPT_AFTER, num_teams=NUM_TEAMS,
-            checkpoint_dir=crashed_dir,
-        )
+        checkpointed(scenario, bundle, crashed_dir, INTERRUPT_AFTER)
         names = [p.name for p in list_checkpoints(crashed_dir)]
         print(f"    checkpoints on disk: {', '.join(names)}")
 
         print(f"\n[3] Resume to {EPISODES} episodes from {crashed_dir.name}/")
-        resumed = resume_training(
-            crashed_dir, scenario, bundle, episodes=EPISODES, num_teams=NUM_TEAMS
-        )
+        resumed = checkpointed(scenario, bundle, crashed_dir, EPISODES)
         identical = (
             weights_equal(straight.agent.q_net, resumed.agent.q_net)
             and weights_equal(straight.agent.target_net, resumed.agent.target_net)
@@ -90,16 +88,17 @@ def main() -> None:
         raw[len(raw) // 2] ^= 0xFF
         state.write_bytes(bytes(raw))
         supervisor = Supervisor(policy=RetryPolicy(max_attempts=2), name="example")
-        recovered = supervised_training(
-            scenario, bundle, checkpoint_dir=crashed_dir,
+        recovered = supervised_sentinel_training(
+            scenario, bundle, CFG, checkpoint_dir=crashed_dir,
             episodes=EPISODES, num_teams=NUM_TEAMS, supervisor=supervisor,
+            progress=lambda msg: print(f"    {msg}"), use_sentinel=False,
         )
-        for incident in supervisor.incidents:
-            print(f"    incident [{incident.kind}] {incident.message}")
+        for anomaly in recovered.anomalies:
+            print(f"    journaled [{anomaly['kind']}] {anomaly['detail']}")
         print(f"    quarantined: "
               f"{[p.name for p in (crashed_dir / 'quarantine').iterdir()]}")
         print(f"    recovered run matches: "
-              f"{weights_equal(straight.agent.q_net, recovered.agent.q_net)}")
+              f"{weights_equal(straight.agent.q_net, recovered.trained.agent.q_net)}")
 
 
 if __name__ == "__main__":

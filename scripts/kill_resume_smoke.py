@@ -4,10 +4,12 @@ The strongest crash-safety claim in this repo is that checkpointed
 training survives an uncontrolled kill with **bit-identical** results.
 This script proves it with a real SIGKILL, not a simulated one:
 
-1. train ``EPISODES`` episodes straight through (the reference run),
-2. spawn a child process doing the identical run into a second
-   checkpoint directory, wait until its second checkpoint is committed,
-   then SIGKILL it mid-episode,
+1. train ``EPISODES`` episodes straight through in memory (the reference
+   run),
+2. spawn a child process running the checkpointing loop with the
+   sentinel off (``repro train --no-sentinel``) into a checkpoint
+   directory, wait until the checkpoint after episode ``KILL_AFTER`` is
+   committed, then SIGKILL it mid-episode,
 3. resume the killed run under the supervisor (which also exercises
    quarantine if the kill tore anything) and assert the final Q-network
    weights, target weights, epsilon, learn-step count and per-episode
@@ -54,7 +56,7 @@ from repro.core.persistence import CHECKPOINT_PREFIX, list_checkpoints
 
 POPULATION = 300
 EPISODES = 4
-KILL_AFTER = 2  # SIGKILL once this many checkpoints are committed
+KILL_AFTER = 2  # SIGKILL once the checkpoint after this episode is committed
 NUM_TEAMS = 12
 CFG = MobiRescueConfig(seed=0)
 KILL_TIMEOUT_S = 600.0
@@ -92,12 +94,15 @@ def build_dataset():
     return build_michael_dataset(population_size=POPULATION)
 
 
-def run_child(checkpoint_dir: str) -> None:
-    """The victim process: the full training run, checkpointing as it goes."""
-    scenario, bundle = build_dataset()
-    train_mobirescue(
+def run_plain_checkpointed(checkpoint_dir, scenario=None, bundle=None, supervisor=None):
+    """The full training run, checkpointing as it goes, sentinel off."""
+    from repro.training import supervised_sentinel_training
+
+    if scenario is None:
+        scenario, bundle = build_dataset()
+    return supervised_sentinel_training(
         scenario, bundle, CFG, episodes=EPISODES, num_teams=NUM_TEAMS,
-        checkpoint_dir=checkpoint_dir,
+        checkpoint_dir=checkpoint_dir, supervisor=supervisor, use_sentinel=False,
     )
 
 
@@ -277,7 +282,7 @@ def sentinel_phase(scenario, bundle) -> dict[str, bool]:
 
 
 def wait_and_kill(proc: subprocess.Popen, checkpoint_dir: pathlib.Path) -> int:
-    """SIGKILL ``proc`` once ``KILL_AFTER`` checkpoints are committed."""
+    """SIGKILL ``proc`` once checkpoint ``KILL_AFTER`` is committed."""
     target = checkpoint_dir / f"{CHECKPOINT_PREFIX}{KILL_AFTER:06d}" / "manifest.json"
     deadline = time.monotonic() + KILL_TIMEOUT_S
     while time.monotonic() < deadline:
@@ -305,20 +310,18 @@ def weights_equal(a, b) -> bool:
 
 
 def main() -> int:
-    from repro.core import Supervisor, supervised_training
+    from repro.core import Supervisor
 
     print(f"[smoke] building dataset (population {POPULATION})...")
     scenario, bundle = build_dataset()
 
     with tempfile.TemporaryDirectory() as tmp:
-        straight_dir = pathlib.Path(tmp) / "straight"
         killed_dir = pathlib.Path(tmp) / "killed"
         killed_dir.mkdir()
 
         print(f"[smoke] reference run: {EPISODES} episodes straight through")
         straight = train_mobirescue(
             scenario, bundle, CFG, episodes=EPISODES, num_teams=NUM_TEAMS,
-            checkpoint_dir=straight_dir,
         )
 
         print("[smoke] spawning victim and waiting for "
@@ -334,12 +337,12 @@ def main() -> int:
 
         print(f"[smoke] resuming to {EPISODES} episodes under supervision...")
         supervisor = Supervisor(name="smoke")
-        resumed = supervised_training(
-            scenario, bundle, checkpoint_dir=killed_dir,
-            episodes=EPISODES, num_teams=NUM_TEAMS, supervisor=supervisor,
-        )
+        result = run_plain_checkpointed(killed_dir, scenario, bundle, supervisor)
         for incident in supervisor.incidents:
             print(f"[smoke] incident [{incident.kind}] {incident.message}")
+        for anomaly in result.anomalies:
+            print(f"[smoke] anomaly [{anomaly['kind']}] {anomaly['detail']}")
+        resumed = result.trained
 
         checks = {
             "q-network weights": weights_equal(straight.agent.q_net, resumed.agent.q_net),
@@ -366,7 +369,7 @@ def main() -> int:
 
 if __name__ == "__main__":
     if len(sys.argv) >= 3 and sys.argv[1] == "child":
-        run_child(sys.argv[2])
+        run_plain_checkpointed(sys.argv[2])
         sys.exit(0)
     if len(sys.argv) >= 3 and sys.argv[1] == "rollout-child":
         run_rollout_child(sys.argv[2])

@@ -262,9 +262,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     from repro.core import save_trained
+    from repro.core.config import MobiRescueConfig
     from repro.core.persistence import list_checkpoints
     from repro.core.runner import RetryPolicy, Supervisor
     from repro.data import build_michael_dataset
+    from repro.training import supervised_sentinel_training
 
     existing = list_checkpoints(args.checkpoint_dir)
     if existing and not args.resume:
@@ -284,52 +286,37 @@ def cmd_train(args) -> int:
         max_attempts=args.max_attempts,
         attempt_timeout_s=args.attempt_timeout if args.attempt_timeout > 0 else None,
     )
-    if args.no_sentinel:
-        from repro.core import supervised_training
-
-        supervisor = Supervisor(policy=policy, name="train", seed=args.seed)
-        trained = supervised_training(
-            scenario,
-            bundle,
-            checkpoint_dir=args.checkpoint_dir,
-            episodes=args.episodes,
-            checkpoint_every=args.checkpoint_every,
-            supervisor=supervisor,
+    supervisor = Supervisor(policy=policy, name="train", seed=args.seed)
+    result = supervised_sentinel_training(
+        scenario,
+        bundle,
+        MobiRescueConfig(seed=args.seed),
+        checkpoint_dir=args.checkpoint_dir,
+        episodes=args.episodes,
+        supervisor=supervisor,
+        progress=lambda msg: print(msg, file=sys.stderr),
+        use_sentinel=not args.no_sentinel,
+    )
+    for anomaly in result.anomalies:
+        print(
+            f"anomaly: {anomaly['kind']} at episode {anomaly['episode']} "
+            f"attempt {anomaly['attempt']} step {anomaly['step']}",
+            file=sys.stderr,
         )
-    else:
-        from repro.core.config import MobiRescueConfig
-        from repro.training import supervised_sentinel_training
-
-        supervisor = Supervisor(policy=policy, name="train-sentinel", seed=args.seed)
-        result = supervised_sentinel_training(
-            scenario,
-            bundle,
-            MobiRescueConfig(seed=args.seed),
-            checkpoint_dir=args.checkpoint_dir,
-            episodes=args.episodes,
-            supervisor=supervisor,
-            progress=lambda msg: print(msg, file=sys.stderr),
+    for recovery in result.recoveries:
+        print(
+            f"recovery: level {recovery['level']} {recovery['actions']} "
+            f"at episode {recovery['episode']}",
+            file=sys.stderr,
         )
-        for anomaly in result.anomalies:
-            print(
-                f"anomaly: {anomaly['kind']} at episode {anomaly['episode']} "
-                f"attempt {anomaly['attempt']} step {anomaly['step']}",
-                file=sys.stderr,
-            )
-        for recovery in result.recoveries:
-            print(
-                f"recovery: level {recovery['level']} {recovery['actions']} "
-                f"at episode {recovery['episode']}",
-                file=sys.stderr,
-            )
-        if result.aborted:
-            print(
-                f"training ABORTED; forensics bundle: {result.forensics_path}",
-                file=sys.stderr,
-            )
-            return 1
-        trained = result.trained
-        assert trained is not None
+    if result.aborted:
+        print(
+            f"training ABORTED; forensics bundle: {result.forensics_path}",
+            file=sys.stderr,
+        )
+        return 1
+    trained = result.trained
+    assert trained is not None
     rates = " ".join(f"{r:.2f}" for r in trained.episode_service_rates)
     print(f"trained {trained.episodes_run} episode(s); service rates: {rates}")
     if supervisor.incidents:
@@ -872,10 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--resume", action="store_true",
         help="continue from the latest valid checkpoint",
-    )
-    p.add_argument(
-        "--checkpoint-every", type=int, default=1,
-        help="episodes between checkpoints (default: every episode)",
     )
     p.add_argument(
         "--max-attempts", type=int, default=3,

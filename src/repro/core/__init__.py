@@ -29,8 +29,8 @@ from repro.core.positions import (
     PopulationFeed,
 )
 from repro.core.rl_dispatcher import MobiRescueDispatcher
-from repro.core.training import resume_training, train_mobirescue
-from repro.core.runner import RetryPolicy, Supervisor, supervised_training
+from repro.core.training import train_mobirescue
+from repro.core.runner import RetryPolicy, Supervisor
 from repro.core.system import MobiRescueSystem
 from repro.core.persistence import load_trained, save_trained
 
@@ -53,8 +53,6 @@ __all__ = [
     "configure_logging",
     "get_logger",
     "load_trained",
-    "resume_training",
     "save_trained",
-    "supervised_training",
     "train_mobirescue",
 ]

@@ -8,33 +8,24 @@ bounded, and recovered from —
 * each attempt runs under an optional wall-clock **deadline**;
 * transient failures are retried with **exponential backoff + jitter**
   (seeded, so tests are deterministic);
-* between attempts, recovery restarts from the **latest valid
-  checkpoint** — corrupt or partially written checkpoints are detected by
-  the integrity manifest, quarantined, and skipped;
-* every recovery, timeout and quarantine is recorded as an
-  :class:`Incident` and logged under ``repro.core.runner``.
+* every failed or timed-out attempt is recorded as an :class:`Incident`
+  and logged under ``repro.core.runner``.
 
-:func:`supervised_training` wires the supervisor to
-:func:`repro.core.training.train_mobirescue` /
-:func:`~repro.core.training.resume_training`.
+:func:`repro.training.supervised_sentinel_training` wires the supervisor
+to the checkpointing training loop, whose every attempt restarts from the
+**latest valid checkpoint** (corrupt or partially written checkpoints are
+detected by the integrity manifest, quarantined, and skipped).
 """
 
 from __future__ import annotations
 
 import logging
-import pathlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
-
-if TYPE_CHECKING:  # circular at runtime: training imports this module's users
-    from repro.core.config import MobiRescueConfig
-    from repro.core.training import TrainedMobiRescue
-    from repro.data.charlotte import CharlotteScenario
-    from repro.mobility.generator import TraceBundle
 
 logger = logging.getLogger("repro.core.runner")
 
@@ -180,69 +171,3 @@ class Supervisor:
             raise box["error"]  # type: ignore[misc]
         return box["result"]  # type: ignore[return-value]
 
-
-def supervised_training(
-    scenario: "CharlotteScenario",
-    bundle: "TraceBundle",
-    *,
-    checkpoint_dir: str | pathlib.Path,
-    config: "MobiRescueConfig | None" = None,
-    episodes: int = 6,
-    num_teams: int = 40,
-    team_capacity: int = 5,
-    checkpoint_every: int = 1,
-    keep_checkpoints: int = 3,
-    policy: RetryPolicy | None = None,
-    supervisor: Supervisor | None = None,
-) -> "TrainedMobiRescue":
-    """Crash-safe training: checkpoint, retry, recover.
-
-    Each attempt first looks for the latest *valid* checkpoint under
-    ``checkpoint_dir`` — quarantining damaged ones — and either resumes
-    from it or starts fresh.  Combined with atomic checkpoint commits,
-    this makes training survive process deaths (rerun the command), plus
-    in-process transient failures (retried here with backoff).  Returns
-    the :class:`repro.core.training.TrainedMobiRescue`; inspect
-    ``supervisor.incidents`` (pass your own :class:`Supervisor`) for the
-    recovery trail.
-    """
-    from repro.core.persistence import find_latest_valid_checkpoint
-    from repro.core.training import resume_training, train_mobirescue
-
-    sup = supervisor or Supervisor(policy=policy or RetryPolicy(), name="train")
-
-    def attempt(index: int) -> "TrainedMobiRescue":
-        found = find_latest_valid_checkpoint(
-            checkpoint_dir, on_incident=lambda kind, msg: sup.record(kind, msg)
-        )
-        if found is not None:
-            checkpoint, path = found
-            sup.record(
-                "resumed",
-                f"recovering from {path.name} (episodes_done="
-                f"{checkpoint.episodes_done}/{episodes})",
-            )
-            return resume_training(
-                checkpoint_dir,
-                scenario,
-                bundle,
-                episodes=episodes,
-                num_teams=num_teams,
-                team_capacity=team_capacity,
-                checkpoint_every=checkpoint_every,
-                keep_checkpoints=keep_checkpoints,
-                checkpoint=checkpoint,
-            )
-        return train_mobirescue(
-            scenario,
-            bundle,
-            config=config,
-            episodes=episodes,
-            num_teams=num_teams,
-            team_capacity=team_capacity,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            keep_checkpoints=keep_checkpoints,
-        )
-
-    return sup.run(attempt)

@@ -8,10 +8,9 @@ every team's per-cycle transition into the shared replay buffer.
 
 from __future__ import annotations
 
-import pathlib
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -126,12 +125,13 @@ def _flooded_days(bundle: TraceBundle) -> list[int]:
 
 @dataclass
 class TrainingSetup:
-    """Everything the episode loop needs, fresh or restored.
+    """Everything an episode needs, fresh or restored.
 
-    Both the plain loop here and the self-healing loop in
-    :mod:`repro.training` drive episodes through the same setup and the
-    same :func:`run_training_episode`, which is what makes the sentinel's
-    fault-free trajectory bit-identical to this module's by construction.
+    The in-memory loop of :func:`train_mobirescue`, the checkpointing loop
+    in :mod:`repro.training` and the rollout collect task all drive
+    episodes through a setup and the same :func:`run_training_episode`,
+    which is what makes their fault-free trajectories bit-identical by
+    construction.
     """
 
     cfg: MobiRescueConfig
@@ -140,14 +140,22 @@ class TrainingSetup:
     agent: DQNAgent
     flooded_days: list[int]
 
+    def trained(self, service_rates: list[float]) -> TrainedMobiRescue:
+        return TrainedMobiRescue(
+            agent=self.agent,
+            predictor=self.predictor,
+            config=self.cfg,
+            episodes_run=len(service_rates),
+            episode_service_rates=service_rates,
+        )
 
-def prepare_training(
-    scenario: CharlotteScenario,
-    bundle: TraceBundle,
-    config: MobiRescueConfig | None = None,
-) -> TrainingSetup:
-    """Stage-1 pipeline + model construction for a fresh training run."""
-    cfg = config or MobiRescueConfig()
+
+def prepare_stage1(
+    scenario: CharlotteScenario, bundle: TraceBundle, cfg: MobiRescueConfig
+) -> tuple[RequestPredictor, PopulationFeed, list[int]]:
+    """Stages 1-2 on the training storm: the fitted SVM request predictor,
+    the position feed of the cleaned, map-matched trace and the flooded
+    days the episodes cycle over."""
     matched = _deployment_pipeline(scenario, bundle)
     training_set = build_training_set(
         scenario,
@@ -159,13 +167,28 @@ def prepare_training(
     predictor = RequestPredictor(
         scenario, kernel=cfg.svm_kernel, c=cfg.svm_c, gamma=cfg.svm_gamma, seed=cfg.seed
     ).fit(training_set)
-    feed = PopulationFeed(matched)
+    return predictor, PopulationFeed(matched), _flooded_days(bundle)
+
+
+def pretrained_agent(cfg: MobiRescueConfig) -> DQNAgent:
+    """A fresh DQN warm-started by :func:`pretrain_agent`."""
     agent = make_agent(cfg)
     pretrain_agent(agent, cfg)
     # Pretraining already encodes a sensible policy; exploration refines it
     # rather than drowning it.
     agent.epsilon = 0.3
-    return TrainingSetup(cfg, predictor, feed, agent, _flooded_days(bundle))
+    return agent
+
+
+def prepare_training(
+    scenario: CharlotteScenario,
+    bundle: TraceBundle,
+    config: MobiRescueConfig | None = None,
+) -> TrainingSetup:
+    """Stage-1 pipeline + model construction for a fresh training run."""
+    cfg = config or MobiRescueConfig()
+    predictor, feed, days = prepare_stage1(scenario, bundle, cfg)
+    return TrainingSetup(cfg, predictor, feed, pretrained_agent(cfg), days)
 
 
 def setup_from_checkpoint(
@@ -174,7 +197,8 @@ def setup_from_checkpoint(
     bundle: TraceBundle,
 ) -> TrainingSetup:
     """Rebuild a :class:`TrainingSetup` from a committed checkpoint."""
-    # Lazy import; see _run_episodes.
+    # Imported lazily: persistence depends on this module for
+    # TrainedMobiRescue, so a top-level import would be circular.
     from repro.core import persistence
 
     cfg = checkpoint.config
@@ -186,6 +210,20 @@ def setup_from_checkpoint(
     return TrainingSetup(cfg, predictor, feed, agent, _flooded_days(bundle))
 
 
+@dataclass(frozen=True)
+class EpisodeOutcome:
+    """What one training episode served on which flooded day."""
+
+    day: int
+    requests: int
+    served: int
+
+    @property
+    def service_rate(self) -> float | None:
+        """``None`` when the day produced no operable requests."""
+        return self.served / self.requests if self.requests else None
+
+
 def run_training_episode(
     scenario: CharlotteScenario,
     bundle: TraceBundle,
@@ -194,10 +232,15 @@ def run_training_episode(
     *,
     num_teams: int,
     team_capacity: int,
-) -> float | None:
-    """One exploration episode; returns its service rate, or ``None`` when
-    the episode's flooded day produced no operable requests (in which case
-    no training randomness is consumed at all)."""
+    sim_seed: int | None = None,
+    on_cycle: Callable[[int, float, bool], None] | None = None,
+) -> EpisodeOutcome:
+    """One exploration episode over flooded day ``ep`` (cyclically).
+
+    The simulator is seeded ``sim_seed``, by default ``cfg.seed + ep``;
+    ``on_cycle`` is handed to it unchanged.  A day with no operable
+    requests runs nothing and consumes no training randomness at all.
+    """
     cfg = setup.cfg
     day = setup.flooded_days[ep % len(setup.flooded_days)]
     t0, t1 = day * SECONDS_PER_DAY, (day + 1) * SECONDS_PER_DAY
@@ -207,7 +250,7 @@ def run_training_episode(
         scenario.flood,
     )
     if not requests:
-        return None
+        return EpisodeOutcome(day, 0, 0)
     dispatcher = MobiRescueDispatcher(
         scenario, setup.predictor, setup.feed, setup.agent, cfg, training=True
     )
@@ -220,70 +263,16 @@ def run_training_episode(
             t1_s=t1,
             num_teams=num_teams,
             team_capacity=team_capacity,
-            seed=cfg.seed + ep,
+            seed=cfg.seed + ep if sim_seed is None else sim_seed,
         ),
+        on_cycle=on_cycle,
     )
     result = sim.run()
     final_pickups: dict[int, int] = defaultdict(int)
     for p in result.pickups:
         final_pickups[p.team_id] += 1
     dispatcher.finish_episode(dict(final_pickups))
-    n = len(requests)
-    return len(result.pickups) / n if n else 0.0
-
-
-def _run_episodes(
-    scenario: CharlotteScenario,
-    bundle: TraceBundle,
-    setup: TrainingSetup,
-    *,
-    start_episode: int,
-    episodes: int,
-    num_teams: int,
-    team_capacity: int,
-    service_rates: list[float],
-    checkpoint_dir: str | pathlib.Path | None = None,
-    checkpoint_every: int = 1,
-    keep_checkpoints: int = 3,
-) -> TrainedMobiRescue:
-    """The episode loop, resumable at any episode boundary.
-
-    Every source of randomness lives either in the per-episode simulator
-    (seeded ``cfg.seed + ep``, rebuilt each episode) or in the agent
-    (whose RNG, replay buffer and optimizer state are checkpointed), so a
-    run interrupted at episode *k* and resumed is bit-identical to one
-    that never stopped.
-    """
-    cfg, predictor, agent = setup.cfg, setup.predictor, setup.agent
-    for ep in range(start_episode, episodes):
-        rate = run_training_episode(
-            scenario, bundle, setup, ep,
-            num_teams=num_teams, team_capacity=team_capacity,
-        )
-        if rate is not None:
-            service_rates.append(rate)
-        if checkpoint_dir is not None and (
-            (ep + 1) % checkpoint_every == 0 or ep + 1 == episodes
-        ):
-            # Imported lazily: persistence depends on this module for
-            # TrainedMobiRescue, so a top-level import would be circular.
-            from repro.core import persistence
-
-            persistence.save_checkpoint(
-                checkpoint_dir,
-                persistence.checkpoint_from_training(
-                    agent, predictor, cfg, ep + 1, service_rates
-                ),
-            )
-            persistence.prune_checkpoints(checkpoint_dir, keep=keep_checkpoints)
-
-    return TrainedMobiRescue(
-        agent=agent,
-        predictor=predictor,
-        config=cfg,
-        episodes_run=len(service_rates),
-        episode_service_rates=service_rates,
-    )
+    return EpisodeOutcome(day, len(requests), len(result.pickups))
 
 
 def train_mobirescue(
@@ -293,88 +282,24 @@ def train_mobirescue(
     episodes: int = 6,
     num_teams: int = 40,
     team_capacity: int = 5,
-    checkpoint_dir: str | pathlib.Path | None = None,
-    checkpoint_every: int = 1,
-    keep_checkpoints: int = 3,
 ) -> TrainedMobiRescue:
-    """Train the SVM predictor and DQN policy on a training storm.
+    """Train the SVM predictor and DQN policy on a training storm, in memory.
 
-    With ``checkpoint_dir`` set, resumable training state is committed
-    after every ``checkpoint_every`` episodes (and always after the final
-    one) through :mod:`repro.core.persistence`; an interrupted run can be
-    continued with :func:`resume_training` and produces bit-identical
-    models.  Checkpointing never consumes training randomness, so runs
-    with and without it are identical too.
+    Every source of randomness lives either in the per-episode simulator
+    (seeded ``cfg.seed + ep``, rebuilt each episode) or in the agent.  The
+    checkpointing, resumable driver is
+    :func:`repro.training.sentinel_training`; a fault-free run of it
+    produces models bit-identical to this loop's.
     """
     if episodes < 1:
         raise ValueError("episodes must be positive")
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be positive")
     setup = prepare_training(scenario, bundle, config)
-
-    return _run_episodes(
-        scenario,
-        bundle,
-        setup,
-        start_episode=0,
-        episodes=episodes,
-        num_teams=num_teams,
-        team_capacity=team_capacity,
-        service_rates=[],
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        keep_checkpoints=keep_checkpoints,
-    )
-
-
-def resume_training(
-    checkpoint_dir: str | pathlib.Path,
-    scenario: CharlotteScenario,
-    bundle: TraceBundle,
-    episodes: int = 6,
-    num_teams: int = 40,
-    team_capacity: int = 5,
-    checkpoint_every: int = 1,
-    keep_checkpoints: int = 3,
-    checkpoint: "TrainingCheckpoint | None" = None,
-) -> TrainedMobiRescue:
-    """Continue an interrupted training run from its latest valid checkpoint.
-
-    ``episodes`` is the *total* target: resuming a run checkpointed at
-    episode *k* executes episodes ``k..episodes`` and returns models
-    bit-identical to an uninterrupted ``train_mobirescue`` call (the
-    checkpoint restores the agent's weights, Adam accumulators, target
-    net, replay buffer, RNG state, epsilon and counters; the predictor
-    and position feed are restored from the checkpoint and the
-    deterministic stage-1 pipeline).  Damaged checkpoints are quarantined
-    and skipped; with no valid checkpoint at all this raises
-    :class:`repro.core.artifacts.ArtifactError`.
-
-    ``checkpoint`` short-circuits discovery when the caller (the
-    supervisor) has already loaded one.
-    """
-    # Lazy import; see _run_episodes.
-    from repro.core import persistence
-    from repro.core.artifacts import ArtifactError
-
-    if checkpoint is None:
-        found = persistence.find_latest_valid_checkpoint(checkpoint_dir)
-        if found is None:
-            raise ArtifactError(f"no valid checkpoint under {checkpoint_dir}")
-        checkpoint, _ = found
-
-    setup = setup_from_checkpoint(checkpoint, scenario, bundle)
-
-    return _run_episodes(
-        scenario,
-        bundle,
-        setup,
-        start_episode=checkpoint.episodes_done,
-        episodes=episodes,
-        num_teams=num_teams,
-        team_capacity=team_capacity,
-        service_rates=list(checkpoint.service_rates),
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-        keep_checkpoints=keep_checkpoints,
-    )
+    service_rates: list[float] = []
+    for ep in range(episodes):
+        rate = run_training_episode(
+            scenario, bundle, setup, ep,
+            num_teams=num_teams, team_capacity=team_capacity,
+        ).service_rate
+        if rate is not None:
+            service_rates.append(rate)
+    return setup.trained(service_rates)

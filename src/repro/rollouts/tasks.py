@@ -224,105 +224,56 @@ class TrainingCollectTask:
         return "train"
 
     def build_context(self) -> Any:
-        """Stage-1 products: matched traces, fitted predictor, feed."""
-        from repro.core.positions import PopulationFeed
-        from repro.core.predictor import RequestPredictor, build_training_set
-        from repro.core.training import _deployment_pipeline, _flooded_days
+        """Stage-1 products: fitted predictor, feed and flooded days."""
+        from repro.core.training import prepare_stage1
 
-        cfg = self.config
-        matched = _deployment_pipeline(self.scenario, self.bundle)
-        training_set = build_training_set(
-            self.scenario,
-            self.bundle,
-            matched=matched,
-            negatives_per_positive=cfg.negatives_per_positive,
-            seed=cfg.seed,
-        )
-        predictor = RequestPredictor(
-            self.scenario,
-            kernel=cfg.svm_kernel,
-            c=cfg.svm_c,
-            gamma=cfg.svm_gamma,
-            seed=cfg.seed,
-        ).fit(training_set)
-        return {
-            "predictor": predictor,
-            "feed": PopulationFeed(matched),
-            "flooded_days": _flooded_days(self.bundle),
-        }
+        return prepare_stage1(self.scenario, self.bundle, self.config)
 
     def run_episode(
         self, context: Any, spec: EpisodeSpec, beat: Beat
     ) -> dict[str, Any]:
-        from collections import defaultdict
-
-        from repro.core.rl_dispatcher import MobiRescueDispatcher, make_agent
+        from repro.core.rl_dispatcher import make_agent
+        from repro.core.training import TrainingSetup, run_training_episode
         from repro.rollouts.merge import drain_transitions
-        from repro.sim.engine import SimulationConfig
-        from repro.sim.kernel import EventKernelSimulator
-        from repro.sim.requests import remap_to_operable, requests_from_rescues
-        from repro.weather.storms import SECONDS_PER_DAY
-
-        cfg = self.config
-        flooded_days = context["flooded_days"]
-        day = flooded_days[spec.episode_id % len(flooded_days)]
-        t0, t1 = day * SECONDS_PER_DAY, (day + 1) * SECONDS_PER_DAY
-        requests = remap_to_operable(
-            requests_from_rescues(self.bundle.rescues, t0, t1),
-            self.scenario.network,
-            self.scenario.flood,
+        from repro.training.health import (
+            SentinelConfig,
+            TrainingAnomalyError,
+            TrainingSentinel,
         )
+
         # Fresh agent from the pristine shared state: episode results
         # depend only on the spec, never on sibling episodes.
-        agent = make_agent(cfg)
+        agent = make_agent(self.config)
         agent.set_state(self.agent_state)
-        if not requests:
-            return {"day": day, "requests": 0, "service_rate": 0.0,
-                    "transitions": []}
+        predictor, feed, flooded_days = context
+        setup = TrainingSetup(self.config, predictor, feed, agent, flooded_days)
         # The numeric-health sentinel screens every learn step; it only
         # ever *reads* agent state, so collection is bit-identical with
         # or without it.  The serial reference runs this same task, so
         # both sides raise (and quarantine) identically.
-        from repro.training.health import SentinelConfig, TrainingSentinel
-
         sentinel = TrainingSentinel(SentinelConfig())
         sentinel.begin_attempt(spec.episode_id, 0)
         agent.observer = sentinel.observe
-        dispatcher = MobiRescueDispatcher(
-            self.scenario, context["predictor"], context["feed"], agent, cfg,
-            training=True,
-        )
-        sim = EventKernelSimulator(
-            self.scenario,
-            requests,
-            dispatcher,
-            SimulationConfig(
-                t0_s=t0,
-                t1_s=t1,
-                num_teams=self.num_teams,
-                team_capacity=self.team_capacity,
-                seed=episode_sim_seed(spec),
-            ),
+        outcome = run_training_episode(
+            self.scenario, self.bundle, setup, spec.episode_id,
+            num_teams=self.num_teams,
+            team_capacity=self.team_capacity,
+            sim_seed=episode_sim_seed(spec),
             on_cycle=lambda i, t, ran: beat(),
         )
-        result = sim.run()
-        final_pickups: dict[int, int] = defaultdict(int)
-        for p in result.pickups:
-            final_pickups[p.team_id] += 1
-        dispatcher.finish_episode(dict(final_pickups))
-        agent.observer = None
+        if not outcome.requests:
+            return {"day": outcome.day, "requests": 0, "service_rate": 0.0,
+                    "transitions": []}
         sentinel.screen_params(agent)
         sentinel.screen_replay(agent.buffer)
         anomalies = sentinel.drain()
         if anomalies:
-            from repro.training.health import TrainingAnomalyError
-
             raise TrainingAnomalyError(anomalies)
         return {
-            "day": day,
-            "requests": len(requests),
-            "served": len(result.pickups),
-            "service_rate": len(result.pickups) / len(requests),
+            "day": outcome.day,
+            "requests": outcome.requests,
+            "served": outcome.served,
+            "service_rate": outcome.service_rate,
             "transitions": drain_transitions(agent.buffer),
         }
 
@@ -336,23 +287,19 @@ def build_training_collect_task(
 ) -> TrainingCollectTask:
     """Prepare a collection task: pretrain once, freeze the pristine state.
 
-    Mirrors the head of :func:`repro.core.training.train_mobirescue`
-    exactly (pretrain, then drop epsilon to 0.3) so collected experience
-    matches what episode 0 of serial training would see.
+    The agent is :func:`repro.core.training.pretrained_agent`, the head of
+    every fresh training run, so collected experience matches what
+    episode 0 of serial training would see.
     """
     from repro.core.config import MobiRescueConfig
-    from repro.core.rl_dispatcher import make_agent
-    from repro.core.training import pretrain_agent
+    from repro.core.training import pretrained_agent
 
     cfg = config or MobiRescueConfig()
-    agent = make_agent(cfg)
-    pretrain_agent(agent, cfg)
-    agent.epsilon = 0.3
     return TrainingCollectTask(
         scenario=scenario,
         bundle=bundle,
         config=cfg,
-        agent_state=agent.get_state(),
+        agent_state=pretrained_agent(cfg).get_state(),
         num_teams=num_teams,
         team_capacity=team_capacity,
     )

@@ -12,8 +12,10 @@ a forensics bundle.  A fault-free sentinel run is bit-identical to plain
 ``train_mobirescue`` (the sentinel only ever *reads* training state),
 which the ``repro chaos --profile train-*`` harness asserts along with
 detection, recovery-floor and checkpoint-hygiene invariants.
+:func:`sentinel_training` is also the only loop that writes training
+checkpoints; ``use_sentinel=False`` runs it without the sentinel.
 
-See docs/TRAINING_HEALTH.md.
+See docs/TRAINING_HEALTH.md and docs/CHECKPOINTING.md.
 """
 
 from repro.training.chaos import (

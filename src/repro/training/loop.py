@@ -282,13 +282,20 @@ def sentinel_training(
     ladder: LadderConfig | None = None,
     injector: TrainingFaultInjector | None = None,
     progress: Callable[[str], None] | None = None,
+    use_sentinel: bool = True,
 ) -> SentinelTrainingResult:
-    """Train with the sentinel attached; resume-aware and self-healing.
+    """Checkpointed, resume-aware training; self-healing with the sentinel.
 
-    Fault-free, this produces models bit-identical to
-    ``train_mobirescue`` with the same arguments (the sentinel only
-    reads).  ``injector`` is the chaos hook: planned training faults are
-    applied mid-episode through the same observer tap that screens them.
+    This is the one loop that writes training checkpoints.  Fault-free,
+    it produces models bit-identical to ``train_mobirescue`` with the
+    same arguments (the sentinel only reads).  ``injector`` is the chaos
+    hook: planned training faults are applied mid-episode through the
+    same observer tap that screens them.
+
+    ``use_sentinel=False`` drops the observer tap, the boundary screens
+    and the gradient statistics; checkpoint quarantine is still journaled
+    as ``checkpoint-bitrot`` anomalies, and an anomaly-free run never
+    climbs the ladder.
 
     The directory is the unit of resumption: an initial ``ckpt-000000``
     commits before episode 0, every clean episode commits a checkpoint,
@@ -297,6 +304,8 @@ def sentinel_training(
     """
     if episodes < 1:
         raise ValueError("episodes must be positive")
+    if injector is not None and not use_sentinel:
+        raise ValueError("fault injection needs the sentinel's observer tap")
     checkpoint_root = pathlib.Path(checkpoint_dir)
     checkpoint_root.mkdir(parents=True, exist_ok=True)
     sc = sentinel_config or SentinelConfig()
@@ -318,8 +327,9 @@ def sentinel_training(
         )
 
     journal = _load_journal(checkpoint_root)
+    quarantined: list[tuple[str, str]] = []
     found = persistence.find_latest_valid_checkpoint(
-        checkpoint_root, on_incident=note_quarantine
+        checkpoint_root, on_incident=lambda *incident: quarantined.append(incident)
     )
     if journal is None:
         journal = _fresh_journal((config or MobiRescueConfig()).seed)
@@ -352,11 +362,17 @@ def sentinel_training(
                 setup.agent, setup.predictor, setup.cfg, 0, []
             ),
         )
+    # Quarantine found at startup is charged to the attempt about to run
+    # and journaled now, so it cannot fail that attempt's verdict.
+    sentinel.begin_attempt(ep, int(journal["attempts"].get(str(ep), 0)))
+    for incident in quarantined:
+        note_quarantine(*incident)
+    journal["anomalies"].extend(a.as_json() for a in sentinel.drain())
     _write_journal(checkpoint_root, journal)
 
     agent = setup.agent
     base_lr = agent.config.learning_rate
-    agent.q_net.grad_stats_enabled = True
+    agent.q_net.grad_stats_enabled = use_sentinel
 
     def abort(reason: str) -> SentinelTrainingResult:
         forensics = write_forensics(
@@ -393,23 +409,24 @@ def sentinel_training(
 
         plan = injector.plan(ep, attempt) if injector is not None else NULL_TRAINING_PLAN
         sentinel.begin_attempt(ep, attempt)
-        tap = _StepTap(plan, sentinel, applied, ep, attempt)
-        agent.observer = tap
+        if use_sentinel:
+            agent.observer = _StepTap(plan, sentinel, applied, ep, attempt)
         try:
             rate = run_training_episode(
                 scenario, bundle, setup, ep,
                 num_teams=num_teams, team_capacity=team_capacity,
-            )
+            ).service_rate
         finally:
             agent.observer = None
 
         candidate_rates = service_rates + ([rate] if rate is not None else [])
-        # Boundary screens: a fault landing on the attempt's *last* learn
-        # step has no later step to betray itself on, so the attempt
-        # verdict always re-scans parameters and replay in full.
-        sentinel.screen_params(agent)
-        sentinel.screen_replay(agent.buffer)
-        sentinel.screen_rewards(candidate_rates)
+        if use_sentinel:
+            # Boundary screens: a fault landing on the attempt's *last*
+            # learn step has no later step to betray itself on, so the
+            # attempt verdict always re-scans parameters and replay in full.
+            sentinel.screen_params(agent)
+            sentinel.screen_replay(agent.buffer)
+            sentinel.screen_rewards(candidate_rates)
         anomalies = sentinel.drain()
 
         if not anomalies:
@@ -512,15 +529,8 @@ def sentinel_training(
         _write_journal(checkpoint_root, journal)
 
     agent.q_net.grad_stats_enabled = False
-    trained = TrainedMobiRescue(
-        agent=agent,
-        predictor=setup.predictor,
-        config=setup.cfg,
-        episodes_run=len(service_rates),
-        episode_service_rates=service_rates,
-    )
     return SentinelTrainingResult(
-        trained=trained,
+        trained=setup.trained(service_rates),
         anomalies=list(journal["anomalies"]),
         applied=applied,
         recoveries=list(journal["recoveries"]),
@@ -552,6 +562,7 @@ def supervised_sentinel_training(
     supervisor: Supervisor | None = None,
     policy: RetryPolicy | None = None,
     progress: Callable[[str], None] | None = None,
+    use_sentinel: bool = True,
 ) -> SentinelTrainingResult:
     """:func:`sentinel_training` under the crash supervisor.
 
@@ -582,6 +593,7 @@ def supervised_sentinel_training(
             ladder=ladder,
             injector=injector,
             progress=progress,
+            use_sentinel=use_sentinel,
         )
 
     result = sup.run(attempt)

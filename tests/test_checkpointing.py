@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.core.artifacts import (
-    ArtifactError,
     ArtifactVersionError,
     CorruptArtifactError,
     MissingManifestError,
@@ -32,9 +31,9 @@ from repro.core.persistence import (
     save_checkpoint,
 )
 from repro.core.rl_dispatcher import make_agent
-from repro.core.runner import RetryPolicy, Supervisor, supervised_training
-from repro.core.training import resume_training, train_mobirescue
+from repro.core.runner import RetryPolicy, Supervisor
 from repro.ml.replay import ReplayBuffer
+from repro.training import sentinel_training, supervised_sentinel_training
 
 CFG = MobiRescueConfig(seed=1)
 EPISODES = 2
@@ -194,31 +193,29 @@ class TestCheckpointStore:
 # -- integration: interrupt + resume is bit-identical -------------------------
 
 
+def _train(ckpt_dir, michael_small, episodes=EPISODES):
+    scenario, bundle = michael_small
+    result = sentinel_training(
+        scenario, bundle, CFG, episodes=episodes, num_teams=NUM_TEAMS,
+        checkpoint_dir=ckpt_dir,
+    )
+    assert result.ok
+    return result.trained
+
+
 @pytest.fixture(scope="module")
 def straight(michael_small, tmp_path_factory):
     """Uninterrupted 2-episode training, checkpointing as it goes."""
     ckpt_dir = tmp_path_factory.mktemp("straight-ckpt")
-    scenario, bundle = michael_small
-    trained = train_mobirescue(
-        scenario, bundle, CFG, episodes=EPISODES, num_teams=NUM_TEAMS,
-        checkpoint_dir=ckpt_dir,
-    )
-    return trained, ckpt_dir
+    return _train(ckpt_dir, michael_small), ckpt_dir
 
 
 @pytest.fixture(scope="module")
 def resumed(michael_small, tmp_path_factory):
     """The same run interrupted after episode 1, then resumed to the end."""
     ckpt_dir = tmp_path_factory.mktemp("resumed-ckpt")
-    scenario, bundle = michael_small
-    train_mobirescue(
-        scenario, bundle, CFG, episodes=1, num_teams=NUM_TEAMS,
-        checkpoint_dir=ckpt_dir,
-    )
-    trained = resume_training(
-        ckpt_dir, scenario, bundle, episodes=EPISODES, num_teams=NUM_TEAMS
-    )
-    return trained, ckpt_dir
+    _train(ckpt_dir, michael_small, episodes=1)
+    return _train(ckpt_dir, michael_small), ckpt_dir
 
 
 class TestResumeDeterminism:
@@ -243,32 +240,27 @@ class TestResumeDeterminism:
     def test_checkpoints_committed_per_episode(self, straight):
         _, ckpt_dir = straight
         names = [p.name for p in list_checkpoints(ckpt_dir)]
-        assert names == [f"ckpt-{ep:06d}" for ep in range(1, EPISODES + 1)]
+        assert names == [f"ckpt-{ep:06d}" for ep in range(0, EPISODES + 1)]
         for path in list_checkpoints(ckpt_dir):
             load_checkpoint(path)  # verifies manifests too
 
     def test_resume_with_target_met_is_noop(self, straight, michael_small):
         trained, ckpt_dir = straight
-        scenario, bundle = michael_small
-        again = resume_training(
-            ckpt_dir, scenario, bundle, episodes=EPISODES, num_teams=NUM_TEAMS
-        )
+        again = _train(ckpt_dir, michael_small)
         assert _weights_equal(trained.agent.q_net, again.agent.q_net)
         assert again.episode_service_rates == trained.episode_service_rates
 
-    def test_resume_without_checkpoints_raises(self, tmp_path, michael_small):
-        scenario, bundle = michael_small
-        with pytest.raises(ArtifactError):
-            resume_training(tmp_path / "empty", scenario, bundle, episodes=1)
-
 
 class TestSupervisedTraining:
+    """The supervised loop with the sentinel off (``repro train
+    --no-sentinel``)."""
+
     def test_recovers_from_corrupt_latest_checkpoint(
         self, straight, resumed, michael_small, tmp_path
     ):
         """The acceptance scenario: latest checkpoint is damaged ->
         quarantine it, resume from the previous valid one, end state is
-        bit-identical to the uninterrupted run; incidents are recorded."""
+        bit-identical to the uninterrupted run; the bitrot is journaled."""
         trained, ckpt_dir = straight
         scenario, bundle = michael_small
         work = tmp_path / "ckpts"
@@ -279,25 +271,31 @@ class TestSupervisedTraining:
         (latest / "state.npz").write_bytes(bytes(raw))
 
         supervisor = Supervisor(policy=RetryPolicy(max_attempts=2), name="test")
-        recovered = supervised_training(
+        progress: list[str] = []
+        result = supervised_sentinel_training(
             scenario,
             bundle,
             checkpoint_dir=work,
             episodes=EPISODES,
             num_teams=NUM_TEAMS,
             supervisor=supervisor,
+            progress=progress.append,
+            use_sentinel=False,
         )
+        assert progress == [f"resuming from episode {EPISODES - 1}"]
         assert (work / "quarantine" / latest.name).exists()
-        kinds = [i.kind for i in supervisor.incidents]
-        assert "corrupt-checkpoint" in kinds
-        assert "resumed" in kinds
+        assert [a["kind"] for a in result.anomalies] == ["checkpoint-bitrot"]
+        assert result.recoveries == []
+        assert supervisor.incidents == []
+        recovered = result.trained
         assert _weights_equal(trained.agent.q_net, recovered.agent.q_net)
         assert recovered.episode_service_rates == trained.episode_service_rates
 
     def test_fresh_directory_trains_from_scratch(self, michael_small, tmp_path):
         scenario, bundle = michael_small
         supervisor = Supervisor(name="fresh")
-        trained = supervised_training(
+        progress: list[str] = []
+        result = supervised_sentinel_training(
             scenario,
             bundle,
             config=CFG,
@@ -305,7 +303,13 @@ class TestSupervisedTraining:
             episodes=1,
             num_teams=NUM_TEAMS,
             supervisor=supervisor,
+            progress=progress.append,
+            use_sentinel=False,
         )
-        assert trained.episodes_run >= 0
-        assert [p.name for p in list_checkpoints(tmp_path / "fresh")] == ["ckpt-000001"]
-        assert all(i.kind != "resumed" for i in supervisor.incidents)
+        assert progress == []
+        assert result.trained.episodes_run >= 0
+        assert [p.name for p in list_checkpoints(tmp_path / "fresh")] == [
+            "ckpt-000000", "ckpt-000001",
+        ]
+        assert result.anomalies == []
+        assert supervisor.incidents == []

@@ -166,6 +166,18 @@ class TestResumableCommands:
         assert main(["train", *pop, "--resume"]) == 0
         assert "service rates" in capsys.readouterr().out
 
+    def test_train_no_sentinel_honours_seed(self, capsys, tmp_path):
+        from repro.core.persistence import find_latest_valid_checkpoint
+
+        ckpts = tmp_path / "ckpts"
+        argv = ["train", "--no-sentinel", "--seed", "3", "--population", "200",
+                "--episodes", "1", "--checkpoint-dir", str(ckpts)]
+        assert main(argv) == 0
+        assert "trained 1 episode(s)" in capsys.readouterr().out
+        found = find_latest_valid_checkpoint(ckpts)
+        assert found is not None
+        assert found[0].config.seed == 3
+
     def test_experiments_with_store(self, capsys, tmp_path):
         results = str(tmp_path / "cells")
         argv = ["experiments", "--methods", "Nearest,Schedule", *POP,

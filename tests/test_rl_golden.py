@@ -7,7 +7,10 @@ the values themselves: the complete DQN training state after a short
 ``train_mobirescue`` on Michael, and every command the deployed
 dispatcher issues over half a Florence day with online learning on.  A
 reordered draw, a different rounding in the state encoding, the Q-network
-or the Adam step changes them.
+or the Adam step changes them.  The checkpointing loop with the sentinel
+off must land on the same agent state, and the rollout training-collect
+task, which runs the same episode primitive from the pretrained head, has
+its own pinned merge fingerprint.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ import pytest
 from repro.core.config import MobiRescueConfig
 from repro.core.system import MobiRescueSystem
 from repro.core.training import train_mobirescue
+from repro.rollouts import EpisodeSpec, build_training_collect_task, run_rollouts_serial
 from repro.sim.engine import SimulationConfig
 from repro.sim.kernel import EventKernelSimulator
 from repro.sim.requests import remap_to_operable, requests_from_rescues
+from repro.training import sentinel_training
 from repro.weather.storms import SECONDS_PER_DAY, day_index
 
 #: SHA-256 of ``agent.get_state()`` (see :func:`state_digest`) after one
@@ -33,6 +38,9 @@ PINNED_AGENT_STATE = "9322801e36fe9f1e192706a9ce51d1031e4521679e35a5daaca71341d5
 PINNED_COMMANDS = "d7b9069503f0bb1a3301571d2d0fadf4f9d64608cb9ef8c4e295b7911268ce3e"
 #: Dispatch cycles in that half day, a readable companion to the digest.
 PINNED_CYCLES = 145
+#: ``merged.fingerprint()`` of ``run_rollouts_serial`` over two
+#: training-collect episodes (seed 1, 8 teams) on the 500-person Michael set.
+PINNED_COLLECT = "aa5830af32ad5dde1b9b2be49de02bd5a503aa1d81cea3c2e780a7280288a37d"
 
 
 def state_digest(arrays: dict[str, np.ndarray]) -> str:
@@ -98,3 +106,22 @@ def test_trained_agent_state_is_pinned(pinned_state):
 def test_deployed_day_commands_are_pinned(command_log):
     assert len(command_log) == PINNED_CYCLES
     assert command_digest(command_log) == PINNED_COMMANDS
+
+
+def test_checkpointing_loop_without_sentinel_is_pinned(michael_small, tmp_path):
+    scenario, bundle = michael_small
+    result = sentinel_training(
+        scenario, bundle, MobiRescueConfig(seed=1), episodes=1, num_teams=8,
+        checkpoint_dir=tmp_path, use_sentinel=False,
+    )
+    assert result.trained is not None
+    assert state_digest(result.trained.agent.get_state()) == PINNED_AGENT_STATE
+
+
+def test_training_collect_rollout_is_pinned(michael_small):
+    scenario, bundle = michael_small
+    task = build_training_collect_task(
+        scenario, bundle, MobiRescueConfig(seed=1), num_teams=8
+    )
+    specs = [EpisodeSpec(i, task.kind, seed=1) for i in range(2)]
+    assert run_rollouts_serial(task, specs).merged.fingerprint() == PINNED_COLLECT

@@ -12,12 +12,15 @@ training runs:
   recovered run's final state is bit-identical to the golden run;
 * a persistent fault climbs the ladder and **aborts** with a complete
   forensics bundle instead of committing a poisoned checkpoint;
-* re-invoking a completed run is a journal-driven no-op.
+* re-invoking a completed run is a journal-driven no-op, and a
+  checkpoint found rotten at startup is journaled and skipped without
+  failing the attempt that resumes behind it.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -241,3 +244,39 @@ class TestResume:
             == again.trained.episode_service_rates
         )
         assert again.anomalies == []
+
+    def test_startup_quarantine_does_not_fail_the_resumed_attempt(
+        self, michael_small, golden, sentinel_runs, tmp_path
+    ):
+        scenario, bundle = michael_small
+        first, ckpt = sentinel_runs[1]
+        work = tmp_path / "ck"
+        shutil.copytree(ckpt, work)
+        latest = list_checkpoints(work)[-1]
+        raw = bytearray((latest / "state.npz").read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        (latest / "state.npz").write_bytes(bytes(raw))
+
+        again = sentinel_training(
+            scenario,
+            bundle,
+            MobiRescueConfig(seed=1),
+            episodes=EPISODES,
+            num_teams=NUM_TEAMS,
+            team_capacity=5,
+            checkpoint_dir=work,
+        )
+        # Each remaining episode runs exactly once more; nothing rolls back.
+        before = first.journal["attempts"]
+        assert again.journal["attempts"] == {
+            **before, str(EPISODES - 1): before[str(EPISODES - 1)] + 1
+        }
+        assert again.recoveries == []
+        assert [(a["kind"], a["episode"]) for a in again.anomalies] == [
+            ("checkpoint-bitrot", EPISODES - 1)
+        ]
+        assert (work / "quarantine" / latest.name).exists()
+        assert again.trained is not None
+        assert states_equal(
+            golden[1].agent.get_state(), again.trained.agent.get_state()
+        )
