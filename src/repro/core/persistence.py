@@ -57,7 +57,8 @@ FORMAT_VERSION = 3
 TRAINED_FORMAT = VersionedFormat("mobirescue-trained", FORMAT_VERSION)
 
 #: v2: adds the predictor's flood gate and forecast horizon.
-CHECKPOINT_VERSION = 2
+#: v3: stores only the replay buffer's live rows.
+CHECKPOINT_VERSION = 3
 CHECKPOINT_FORMAT = VersionedFormat("mobirescue-checkpoint", CHECKPOINT_VERSION)
 CHECKPOINT_PREFIX = "ckpt-"
 CHECKPOINT_STATE = "state.npz"
@@ -336,7 +337,7 @@ def save_checkpoint(
             "service_rates": np.array(checkpoint.service_rates, dtype=float),
             **_pack_predictor_prefixed(checkpoint.predictor_arrays),
         }
-        for key, value in checkpoint.agent_state.items():
+        for key, value in _live_buffer_rows(checkpoint.agent_state).items():
             arrays[f"agent.{key}"] = value
         atomic_savez(staging / CHECKPOINT_STATE, **arrays)
         write_manifest(
@@ -366,10 +367,54 @@ def _pack_predictor_prefixed(
     return {f"predictor.{k}": v for k, v in predictor_arrays.items()}
 
 
+#: The replay-buffer arrays with one row per slot, as keys of an agent state.
+_BUFFER_ROWS = tuple(
+    f"buffer.{name}" for name in ("states", "actions", "rewards", "next_states", "dones")
+)
+
+
+def _live_buffer_rows(
+    agent_state: Mapping[str, np.ndarray], prefix: str = ""
+) -> dict[str, np.ndarray]:
+    """``agent_state`` with each replay array cut to the buffer's live rows.
+
+    Until the ring is full its write head equals its size, so the live
+    rows are ``[:size]`` in ring order; once full, every row is live.  The
+    rows past ``size`` were never written, so :func:`_pad_buffer_rows`
+    restores them as zeros.  ``prefix`` is the keys' prefix in ``agent_state``.
+    """
+    size = int(agent_state[f"{prefix}buffer.meta"][2])
+    live = dict(agent_state)
+    for key in _BUFFER_ROWS:
+        live[prefix + key] = live[prefix + key][:size]
+    return live
+
+
+def _pad_buffer_rows(agent_state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Inverse of :func:`_live_buffer_rows`: zero rows back to capacity."""
+    capacity, _, size, _ = (int(v) for v in agent_state["buffer.meta"])
+    for key in _BUFFER_ROWS:
+        rows = agent_state[key]
+        if rows.shape[0] != size or size > capacity:
+            raise CorruptArtifactError(
+                f"checkpoint {key} has {rows.shape[0]} rows for a buffer of size {size}"
+            )
+        full = np.zeros((capacity,) + rows.shape[1:], dtype=rows.dtype)
+        full[:size] = rows
+        agent_state[key] = full
+    return agent_state
+
+
 @CHECKPOINT_FORMAT.migration(1)
 def _checkpoint_v1_to_v2(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """v1 checkpoints lack the flood gate: fill what v1 loaders assumed."""
     return {**arrays, **_pack_predictor_prefixed(_UNSTORED_GATE)}
+
+
+@CHECKPOINT_FORMAT.migration(2)
+def _checkpoint_v2_to_v3(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """v2 checkpoints store every replay row: keep the live ones, as v3 does."""
+    return _live_buffer_rows(arrays, prefix="agent.")
 
 
 def load_checkpoint(path: str | pathlib.Path) -> TrainingCheckpoint:
@@ -389,9 +434,9 @@ def load_checkpoint(path: str | pathlib.Path) -> TrainingCheckpoint:
     predictor_arrays = {
         k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)
     }
-    agent_state = {
-        k[len("agent."):]: v for k, v in arrays.items() if k.startswith("agent.")
-    }
+    agent_state = _pad_buffer_rows(
+        {k[len("agent."):]: v for k, v in arrays.items() if k.startswith("agent.")}
+    )
     return TrainingCheckpoint(
         episodes_done=int(arrays["episodes_done"][0]),
         service_rates=[float(r) for r in arrays["service_rates"]],

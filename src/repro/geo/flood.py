@@ -25,21 +25,54 @@ from repro.geo.terrain import TerrainField
 SeverityFn = Callable[[int, float], float]
 
 
+def _lerp_sorted(
+    samples: np.ndarray,
+    row: np.ndarray | int,
+    last: np.ndarray | np.integer,
+    q: np.ndarray | float,
+) -> np.ndarray:
+    """``np.quantile(alts, q)`` (its default ``linear`` method) of sorted rows.
+
+    Row ``row`` of ``samples`` holds one region's altitudes in ascending
+    order, then copies of its last one (real index ``last``) to the end of
+    a row at least one longer.  ``row``, ``last`` and ``q`` broadcast
+    together.  numpy's steps, without its sort: virtual index
+    ``v = last * q``, ``prev = floor(v)``, ``gamma = v - prev``, the lerp
+    ``a + (b - a) * gamma`` or ``b - (b - a) * (1 - gamma)`` where
+    ``gamma >= 0.5``, and the last sample where ``v >= last`` (there the
+    clamped pair is two copies of it).  A NaN fraction raises
+    ``ValueError``, as ``np.quantile`` does.
+    """
+    q = np.asarray(q, dtype=float)
+    if np.isnan(q).any():
+        raise ValueError("Quantiles must be in the range [0, 1]")
+    v = last * q
+    prev = np.floor(v)
+    gamma = v - prev
+    i = np.minimum(prev, last).astype(np.intp)
+    a = samples[row, i]
+    b = samples[row, i + 1]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+
+
 class FloodModel:
     """Terrain + severity -> time-varying flood zones.
 
-    Per-region altitude quantiles are precomputed from a sampled grid, so
-    flood queries are O(1) per point: a point is flooded at time ``t`` when
-    its altitude is below the region's flood waterline, which is the
+    Each region's altitudes are sampled once from a grid and kept sorted,
+    so flood queries are O(1) per point: a point is flooded at time ``t``
+    when its altitude is below the region's flood waterline, which is the
     ``max_flood_fraction * severity(region, t)`` quantile of the region's
-    altitude distribution.
+    altitude samples, interpolated as ``np.quantile`` does by
+    :func:`_lerp_sorted`.
     """
 
     #: Times whose region waterline vector :meth:`waterlines` keeps: a
     #: day of 300 s dispatch cycles plus the predictor's 12 h forecast
     #: horizon is 432 times, so the vector one cycle computes for
-    #: ``t + horizon`` is still here when the clock reaches it.  About
-    #: 300 bytes an entry.
+    #: ``t + horizon`` is still here when the clock reaches it.  A hit
+    #: saves the miss's 7 ``severity_fn`` calls and about 20 small numpy
+    #: calls; about 300 bytes an entry.
     WATERLINE_MEMO = 512
 
     def __init__(
@@ -58,6 +91,19 @@ class FloodModel:
         self.severity_fn = severity_fn
         self.max_flood_fraction = float(max_flood_fraction)
         self._region_alt_samples = self._sample_region_altitudes(grid_resolution)
+        ids = self.partition.region_ids
+        self._slot = {rid: i for i, rid in enumerate(ids)}
+        rows = [self._region_alt_samples[rid] for rid in ids]
+        # Per-slot columns, broadcasting against (slots, times) severities.
+        self._alt_slots = np.arange(len(ids))[:, None]
+        #: Index of each region's last sample.
+        self._alt_last = np.array([[r.size - 1] for r in rows])
+        #: Slots x samples, each row padded with its last sample (at
+        #: least once, so the pair at ``last`` reads two copies of it).
+        width = int(self._alt_last.max()) + 2
+        self._alt_rows = np.array([np.pad(r, (0, width - r.size), mode="edge") for r in rows])
+        #: The waterline at severity 0: below each region's lowest sample.
+        self._dry_waterline = self._alt_rows[:, :1] - 1.0
         self._waterline_memo: OrderedDict[float, np.ndarray] = OrderedDict()
 
     def _sample_region_altitudes(self, n: int) -> dict[int, np.ndarray]:
@@ -84,28 +130,31 @@ class FloodModel:
         Terrain at or below the waterline is flooded.  Severity 0 puts the
         waterline below the region's minimum altitude (nothing flooded).
         """
-        severity = float(np.clip(self.severity_fn(region_id, t_seconds), 0.0, 1.0))
-        alts = self._region_alt_samples[region_id]
+        slot = self._slot[region_id]
+        severity = min(max(self.severity_fn(region_id, t_seconds), 0.0), 1.0)
         if severity <= 0.0:
-            return float(alts[0]) - 1.0
+            return float(self._dry_waterline[slot, 0])
         frac = self.max_flood_fraction * severity
-        return float(np.quantile(alts, frac))
+        return float(_lerp_sorted(self._alt_rows, slot, self._alt_last[slot, 0], frac))
 
     def waterline_table(self, severity: np.ndarray) -> np.ndarray:
         """:meth:`waterline_m` over a (regions, times) grid of severities.
 
         Row i of ``severity`` holds ``severity_fn(partition.region_ids[i], t)``
         at each time column; entry (i, j) of the result then equals
-        ``waterline_m(region_ids[i], t_j)`` bit-for-bit, with one quantile
-        call per region instead of one per entry.
+        ``waterline_m(region_ids[i], t_j)`` bit-for-bit, from one
+        interpolation over the whole grid.
         """
-        severity = np.clip(np.asarray(severity, dtype=float), 0.0, 1.0)
-        out = np.empty_like(severity)
-        for i, rid in enumerate(self.partition.region_ids):
-            alts = self._region_alt_samples[rid]
-            row = np.quantile(alts, self.max_flood_fraction * severity[i])
-            out[i] = np.where(severity[i] <= 0.0, float(alts[0]) - 1.0, row)
-        return out
+        return self._waterlines_of(np.asarray(severity, dtype=float))
+
+    def _waterlines_of(self, severity: np.ndarray) -> np.ndarray:
+        """Waterlines of a (slots, times) severity array: clipped to
+        [0, 1] once, interpolated in one pass."""
+        severity = np.clip(severity, 0.0, 1.0)
+        wl = _lerp_sorted(
+            self._alt_rows, self._alt_slots, self._alt_last, self.max_flood_fraction * severity
+        )
+        return np.where(severity <= 0.0, self._dry_waterline, wl)
 
     def is_flooded(self, x: float, y: float, t_seconds: float) -> bool:
         """Whether a plane point is inside a flood zone at time ``t``."""
@@ -129,9 +178,8 @@ class FloodModel:
         if cached is not None:
             memo.move_to_end(key)
             return cached
-        vec = np.array(
-            [self.waterline_m(rid, key) for rid in self.partition.region_ids]
-        )
+        severity = [[self.severity_fn(rid, key)] for rid in self.partition.region_ids]
+        vec = self._waterlines_of(np.array(severity)).ravel()
         vec.flags.writeable = False
         memo[key] = vec
         if len(memo) > self.WATERLINE_MEMO:

@@ -13,6 +13,7 @@ way P and W do (Table I correlation signs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,17 +40,19 @@ class RegionProfile:
         if not (0.0 <= self.seed[0] <= 1.0 and 0.0 <= self.seed[1] <= 1.0):
             raise ValueError("seed must be expressed as plane fractions in [0, 1]")
 
-    @property
+    @cached_property
     def severity(self) -> float:
         """Scalar disaster-impact severity in [0, 1].
 
         Combines the disaster-related factors with the weighting implied by
         Table I (|corr|: precipitation > wind speed > altitude): severity
-        rises with precipitation and wind and falls with altitude.
+        rises with precipitation and wind and falls with altitude.  The
+        profile is frozen, so this is computed once; every flood-model
+        severity call reads it.
         """
-        p = np.clip((self.precipitation_mm - 110.0) / 60.0, 0.0, 1.0)
-        w = np.clip((self.wind_mph - 50.0) / 35.0, 0.0, 1.0)
-        a = np.clip((250.0 - self.altitude_m) / 80.0, 0.0, 1.0)
+        p = min(max((self.precipitation_mm - 110.0) / 60.0, 0.0), 1.0)
+        w = min(max((self.wind_mph - 50.0) / 35.0, 0.0), 1.0)
+        a = min(max((250.0 - self.altitude_m) / 80.0, 0.0), 1.0)
         return float(0.5 * p + 0.3 * w + 0.2 * a)
 
 

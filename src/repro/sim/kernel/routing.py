@@ -21,10 +21,11 @@ single answer:
 * :class:`FloodClosureIndex` — the flood's closed-segment set recomputed
   without re-deriving static geometry.  Midpoint altitudes and region
   memberships never change; only the per-region waterline moves.  The
-  index gathers the same ``waterline_m`` floats (same ``np.quantile``)
-  the seed calls and compares against the precomputed altitudes,
-  producing the identical frozenset — the very same object for as long
-  as the flooded mask does not change (a closure epoch).
+  index gathers the flood's memoized ``waterlines`` vector, bit for bit
+  the ``waterline_m`` floats the seed calls, and compares against the
+  precomputed altitudes, producing the identical frozenset — the very
+  same object for as long as the flooded mask does not change (a closure
+  epoch).
 
 The field searches the reverse filtered adjacency the kernel's router
 already holds for the closed set (:meth:`RoutingCache.adjacency`).

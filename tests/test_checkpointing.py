@@ -23,7 +23,6 @@ from repro.core.artifacts import (
 from repro.core.config import MobiRescueConfig
 from repro.core.persistence import (
     TrainingCheckpoint,
-    checkpoint_from_training,
     find_latest_valid_checkpoint,
     list_checkpoints,
     load_checkpoint,
@@ -188,6 +187,93 @@ class TestCheckpointStore:
         ]
         with pytest.raises(ValueError):
             prune_checkpoints(tmp_path, keep=1)
+
+
+class TestLiveReplayRows:
+    """Checkpoints store the replay buffer's live rows; loads pad them back."""
+
+    @staticmethod
+    def partly_filled():
+        ckpt = _synthetic_checkpoint()
+        agent = make_agent(ckpt.config)
+        TestAgentStateRoundtrip().fill_agent(agent, ckpt.config, n=300, seed=3)
+        for _ in range(4):
+            agent.learn()
+        ckpt.agent_state = agent.get_state()
+        return ckpt, agent
+
+    @staticmethod
+    def full():
+        ckpt = _synthetic_checkpoint()
+        agent = make_agent(ckpt.config)
+        buffer = agent.buffer
+        rng = np.random.default_rng(11)
+        cap, dim = buffer.capacity, buffer.state_dim
+        buffer.set_state({
+            "states": rng.random((cap, dim)),
+            "actions": rng.integers(0, ckpt.config.num_actions, cap),
+            "rewards": rng.random(cap),
+            "next_states": rng.random((cap, dim)),
+            "dones": rng.random(cap) < 0.1,
+            "meta": np.array([cap, dim, cap, 1_234]),  # wrapped: head mid-ring
+        })
+        agent.learn()
+        ckpt.agent_state = agent.get_state()
+        return ckpt, agent
+
+    @staticmethod
+    def stored(path) -> dict[str, np.ndarray]:
+        with np.load(path / "state.npz", allow_pickle=False) as data:
+            return {k: data[k] for k in data.files}
+
+    @staticmethod
+    def assert_resumes_identically(agent, loaded):
+        agent_state = loaded.agent_state
+        state = agent.get_state()
+        assert sorted(agent_state) == sorted(state)
+        for key, value in state.items():
+            assert agent_state[key].dtype == value.dtype, key
+            np.testing.assert_array_equal(agent_state[key], value, err_msg=key)
+        twin = make_agent(loaded.config)
+        twin.set_state(agent_state)
+        probe = np.linspace(0.0, 1.0, twin.config.state_dim)
+        for _ in range(3):
+            assert agent.learn() == twin.learn()
+            assert agent.act(probe) == twin.act(probe)
+        assert _weights_equal(agent.q_net, twin.q_net)
+
+    @pytest.mark.parametrize("fill", ["partly_filled", "full"])
+    def test_round_trip(self, tmp_path, fill):
+        ckpt, agent = getattr(self, fill)()
+        path = save_checkpoint(tmp_path, ckpt)
+        stored = self.stored(path)
+        assert int(stored["version"][0]) == 3
+        for name in ("states", "actions", "rewards", "next_states", "dones"):
+            assert stored[f"agent.buffer.{name}"].shape[0] == len(agent.buffer), name
+        self.assert_resumes_identically(agent, load_checkpoint(path))
+
+    def test_v2_checkpoint_migrates_and_resumes_identically(self, tmp_path):
+        """A v2 checkpoint stores every replay row, live or not."""
+        ckpt, agent = self.partly_filled()
+        path = save_checkpoint(tmp_path, ckpt)
+        arrays = self.stored(path)
+        for key, value in ckpt.agent_state.items():
+            arrays[f"agent.{key}"] = value
+        arrays["version"] = np.array([2])
+        assert arrays["agent.buffer.states"].shape[0] == agent.buffer.capacity
+        atomic_savez(path / "state.npz", **arrays)
+        write_manifest(path, 2)
+        self.assert_resumes_identically(agent, load_checkpoint(path))
+
+    def test_row_count_disagreeing_with_size_is_corrupt(self, tmp_path):
+        ckpt, _ = self.partly_filled()
+        path = save_checkpoint(tmp_path, ckpt)
+        arrays = self.stored(path)
+        arrays["agent.buffer.rewards"] = arrays["agent.buffer.rewards"][:-1]
+        atomic_savez(path / "state.npz", **arrays)
+        write_manifest(path, 3)
+        with pytest.raises(CorruptArtifactError):
+            load_checkpoint(path)
 
 
 # -- integration: interrupt + resume is bit-identical -------------------------
