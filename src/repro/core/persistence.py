@@ -267,6 +267,9 @@ class TrainingCheckpoint:
     episodes_done: int
     service_rates: list[float]
     config: MobiRescueConfig
+    #: Replay arrays hold the live rows (:func:`checkpoint_from_training`)
+    #: or are zero-padded to capacity (:func:`load_checkpoint`);
+    #: ``DQNAgent.set_state`` takes either.
     agent_state: dict[str, np.ndarray]
     predictor_arrays: dict[str, np.ndarray]
 
@@ -278,12 +281,17 @@ def checkpoint_from_training(
     episodes_done: int,
     service_rates: list[float],
 ) -> TrainingCheckpoint:
-    """Snapshot live training state into a checkpoint value."""
+    """Snapshot live training state into a checkpoint value.
+
+    The agent state holds the replay buffer's live rows only, which is all
+    :func:`save_checkpoint` writes; :meth:`DQNAgent.set_state` restores it
+    as it restores a loaded checkpoint's zero-padded rows.
+    """
     return TrainingCheckpoint(
         episodes_done=int(episodes_done),
         service_rates=list(service_rates),
         config=config,
-        agent_state=agent.get_state(),
+        agent_state=agent.get_state(live_only=True),
         predictor_arrays=_pack_predictor(predictor),
     )
 

@@ -129,13 +129,14 @@ class DQNAgent:
 
     # -- checkpointing ----------------------------------------------------------
 
-    def get_state(self) -> dict[str, np.ndarray]:
+    def get_state(self, live_only: bool = False) -> dict[str, np.ndarray]:
         """Complete training state as an npz-ready array dict.
 
         Captures everything a bit-identical resume needs: Q-network weights
-        plus Adam state, target-network weights, the full replay buffer,
-        the behaviour policy's RNG bit-generator state, epsilon and the
-        learn-step counter.
+        plus Adam state, target-network weights, the replay buffer (every
+        slot, or its live rows alone with ``live_only``), the behaviour
+        policy's RNG bit-generator state, epsilon and the learn-step
+        counter.
         """
         arrays: dict[str, np.ndarray] = {}
         for key, value in self.q_net.get_train_state().items():
@@ -143,7 +144,7 @@ class DQNAgent:
         for i, (w, b) in enumerate(self.target_net.get_weights()):
             arrays[f"target.w{i}"] = w
             arrays[f"target.b{i}"] = b
-        for key, value in self.buffer.get_state().items():
+        for key, value in self.buffer.get_state(live_only).items():
             arrays[f"buffer.{key}"] = value
         arrays["rng_json"] = np.array([json.dumps(self.rng.bit_generator.state)])
         arrays["epsilon"] = np.array([self.epsilon])

@@ -76,33 +76,34 @@ class ReplayBuffer:
         fault injectors corrupt rows through them.  Shapes follow
         ``len(self)``, so an empty buffer yields empty views.
         """
-        n = self._size
+        return {name: column[: self._size] for name, column in self._columns().items()}
+
+    def _columns(self) -> dict[str, np.ndarray]:
         return {
-            "states": self._states[:n],
-            "actions": self._actions[:n],
-            "rewards": self._rewards[:n],
-            "next_states": self._next_states[:n],
-            "dones": self._dones[:n],
+            "states": self._states,
+            "actions": self._actions,
+            "rewards": self._rewards,
+            "next_states": self._next_states,
+            "dones": self._dones,
         }
 
     # -- checkpointing --------------------------------------------------------
 
-    def get_state(self) -> dict[str, np.ndarray]:
-        """Full buffer contents as an npz-ready array dict."""
-        return {
-            "states": self._states.copy(),
-            "actions": self._actions.copy(),
-            "rewards": self._rewards.copy(),
-            "next_states": self._next_states.copy(),
-            "dones": self._dones.copy(),
-            "meta": np.array(
-                [self.capacity, self.state_dim, self._size, self._head],
-                dtype=np.int64,
-            ),
-        }
+    def get_state(self, live_only: bool = False) -> dict[str, np.ndarray]:
+        """Buffer contents as an npz-ready array dict: every slot, or with
+        ``live_only`` the ``len(self)`` written rows alone (until the ring
+        is full its head equals its size, so they are the leading rows)."""
+        n = self._size if live_only else self.capacity
+        state = {name: column[:n].copy() for name, column in self._columns().items()}
+        state["meta"] = np.array(
+            [self.capacity, self.state_dim, self._size, self._head], dtype=np.int64
+        )
+        return state
 
     def set_state(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Restore contents captured by :meth:`get_state`."""
+        """Restore contents captured by :meth:`get_state`, with or without
+        ``live_only``: slots past the live rows are zeroed, as they were
+        before they were first written."""
         capacity, state_dim, size, head = (int(v) for v in arrays["meta"])
         if capacity != self.capacity or state_dim != self.state_dim:
             raise ValueError(
@@ -111,10 +112,14 @@ class ReplayBuffer:
             )
         if not (0 <= size <= capacity and 0 <= head < capacity):
             raise ValueError("buffer state has inconsistent size/head")
-        self._states[...] = arrays["states"]
-        self._actions[...] = arrays["actions"]
-        self._rewards[...] = arrays["rewards"]
-        self._next_states[...] = arrays["next_states"]
-        self._dones[...] = arrays["dones"]
+        for name, column in self._columns().items():
+            rows = arrays[name]
+            if rows.shape[1:] != column.shape[1:] or len(rows) not in (size, capacity):
+                raise ValueError(
+                    f"buffer {name} has shape {rows.shape} for size {size} "
+                    f"of capacity {capacity}"
+                )
+            column[: len(rows)] = rows
+            column[len(rows):] = 0
         self._size = size
         self._head = head

@@ -3,11 +3,11 @@
 ``repro.perf`` makes the paper's headline latency claim reproducible at
 scale without changing a single simulated outcome:
 
-* :mod:`repro.perf.routing_cache` — closure-aware memoization of the
-  road-network Dijkstra trees consulted by the simulation engine, the
-  dispatchers and the mobility pipeline.  Results are bit-identical to the
-  per-call seed implementation by construction (same relax sequence on
-  prefiltered adjacency, cached).
+* :mod:`repro.perf.routing_cache` — one closure-aware routing engine per
+  road network, shared by the simulators, the dispatchers and the mobility
+  pipeline: dense-index Dijkstra and compact trees under one byte budget.
+  Results are bit-identical to the per-call seed implementation by
+  construction (the seed relax sequence on dense-index rows).
 * :mod:`repro.perf.bench` — the ``repro bench`` microbenchmark suite:
   routing, batched prediction, full simulation ticks and training steps,
   emitted as a durable ``BENCH_<date>.json`` artifact.

@@ -78,14 +78,10 @@ class RoadNetwork:
         self._node_ids_sorted: np.ndarray | None = None
         self._midpoint_tree: cKDTree | None = None
         self._segment_ids_sorted: np.ndarray | None = None
-        #: Flat adjacency rows (segment_id, other_node, time_s, length_m)
-        #: consumed by the Dijkstra hot loop; rebuilt lazily after topology
-        #: changes so routing never pays per-call RoadSegment construction.
-        self._adjacency: tuple[
-            dict[int, list[tuple[int, int, float, float]]],
-            dict[int, list[tuple[int, int, float, float]]],
-        ] | None = None
         self._midpoints_sorted: np.ndarray | None = None
+        #: Dense-index adjacency for the Dijkstra loops; rebuilt lazily after
+        #: topology changes so routing never pays per-call RoadSegment lookups.
+        self._routing_index: RoutingIndex | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -96,7 +92,7 @@ class RoadNetwork:
         self._landmarks[landmark.node_id] = landmark
         self._out[landmark.node_id] = []
         self._in[landmark.node_id] = []
-        self._adjacency = None
+        self._routing_index = None
 
     def add_segment(self, segment: RoadSegment) -> None:
         self._require_mutable()
@@ -114,7 +110,7 @@ class RoadNetwork:
         self._out[segment.u].append(segment.segment_id)
         self._in[segment.v].append(segment.segment_id)
         self._by_endpoints[(segment.u, segment.v)] = segment.segment_id
-        self._adjacency = None
+        self._routing_index = None
 
     def freeze(self) -> "RoadNetwork":
         """Finalize construction and build spatial indexes."""
@@ -186,39 +182,12 @@ class RoadNetwork:
 
     # -- routing adjacency ---------------------------------------------------
 
-    def _build_adjacency(self) -> tuple[
-        dict[int, list[tuple[int, int, float, float]]],
-        dict[int, list[tuple[int, int, float, float]]],
-    ]:
-        # Row order mirrors the insertion order of self._out / self._in so
-        # tie-breaking in Dijkstra is identical to iterating out_segments().
-        out: dict[int, list[tuple[int, int, float, float]]] = {}
-        inn: dict[int, list[tuple[int, int, float, float]]] = {}
-        for node, seg_ids in self._out.items():
-            out[node] = [
-                (s.segment_id, s.v, s.free_flow_time_s, s.length_m)
-                for s in (self._segments[i] for i in seg_ids)
-            ]
-        for node, seg_ids in self._in.items():
-            inn[node] = [
-                (s.segment_id, s.u, s.free_flow_time_s, s.length_m)
-                for s in (self._segments[i] for i in seg_ids)
-            ]
-        return out, inn
-
-    def out_adjacency(self) -> dict[int, list[tuple[int, int, float, float]]]:
-        """``node -> [(segment_id, v, time_s, length_m), ...]`` rows for the
-        routing hot loop.  Treat the returned structure as read-only."""
-        if self._adjacency is None:
-            self._adjacency = self._build_adjacency()
-        return self._adjacency[0]
-
-    def in_adjacency(self) -> dict[int, list[tuple[int, int, float, float]]]:
-        """``node -> [(segment_id, u, time_s, length_m), ...]`` reversed-edge
-        rows.  Treat the returned structure as read-only."""
-        if self._adjacency is None:
-            self._adjacency = self._build_adjacency()
-        return self._adjacency[1]
+    def routing_index(self) -> "RoutingIndex":
+        """The dense-index adjacency of the routing loops.  Treat the returned
+        structure as read-only."""
+        if self._routing_index is None:
+            self._routing_index = RoutingIndex(self)
+        return self._routing_index
 
     # -- geometry ----------------------------------------------------------
 
@@ -280,9 +249,49 @@ class RoadNetwork:
         flooded = flood_model.is_flooded_many(mids, t_seconds)
         return frozenset(int(i) for i in ids[flooded])
 
-    def operable_segment_ids(self, closed: frozenset[int]) -> list[int]:
-        """Segment ids of the remaining available network Ẽ."""
-        return [s for s in self.segment_ids() if s not in closed]
+
+#: One dense-index adjacency row: (segment index, other node index, cost).
+IndexRow = tuple[int, int, float]
+
+
+class RoutingIndex:
+    """Dense-index adjacency of a :class:`RoadNetwork`.
+
+    Landmarks are numbered ``0..n-1`` in sorted-id order and segments
+    ``0..m-1`` likewise.  The numbering is monotone in the ids, so a
+    ``(cost, node)`` heap breaks ties on indices exactly as it does on ids.
+    ``rows[(reverse, weight)][i]`` lists node ``i``'s rows in the order of
+    :meth:`RoadNetwork.out_segments` (``in_segments`` when ``reverse``): the
+    segment's index, the index of its other end, and its ``weight``
+    (``"time"``: free-flow seconds, ``"length"``: metres) as the cost.
+    """
+
+    __slots__ = (
+        "node_ids", "index_of", "segment_ids", "segment_index_of",
+        "seg_u", "seg_v", "seg_time_s", "seg_length_m", "rows",
+    )
+
+    def __init__(self, network: RoadNetwork) -> None:
+        self.node_ids = network.landmark_ids()
+        self.index_of = {node: i for i, node in enumerate(self.node_ids)}
+        self.segment_ids = network.segment_ids()
+        self.segment_index_of = {s: k for k, s in enumerate(self.segment_ids)}
+        segs = network.segments()
+        index_of, seg_index_of = self.index_of, self.segment_index_of
+        self.seg_u = [index_of[s.u] for s in segs]
+        self.seg_v = [index_of[s.v] for s in segs]
+        self.seg_time_s = [s.free_flow_time_s for s in segs]
+        self.seg_length_m = [s.length_m for s in segs]
+        self.rows: dict[tuple[bool, str], list[list[IndexRow]]] = {}
+        for reverse, adjacent, ends in (
+            (False, network.out_segments, self.seg_v),
+            (True, network.in_segments, self.seg_u),
+        ):
+            per_node = [[seg_index_of[s.segment_id] for s in adjacent(n)] for n in self.node_ids]
+            for weight, cost in (("time", self.seg_time_s), ("length", self.seg_length_m)):
+                self.rows[(reverse, weight)] = [
+                    [(k, ends[k], cost[k]) for k in ks] for ks in per_node
+                ]
 
 
 @dataclass

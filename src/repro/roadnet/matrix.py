@@ -23,24 +23,16 @@ class TravelTimeOracle:
 
     def __init__(self, network: RoadNetwork) -> None:
         self.network = network
-        node_ids = network.landmark_ids()
-        self._index = {n: i for i, n in enumerate(node_ids)}
-        n = len(node_ids)
-        rows, cols, vals = [], [], []
-        for seg in network.segments():
-            rows.append(self._index[seg.u])
-            cols.append(self._index[seg.v])
-            vals.append(seg.free_flow_time_s)
-        graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
+        index = network.routing_index()
+        self._index = index.index_of
+        n = len(index.node_ids)
+        graph = csr_matrix((index.seg_time_s, (index.seg_u, index.seg_v)), shape=(n, n))
         self._times = sparse_dijkstra(graph, directed=True).astype(np.float32)
         # Segment-end lookup: travel time to the end of segment e is time to
         # e.u plus e's own traversal time.
-        seg_ids = network.segment_ids()
-        self._seg_index = {s: i for i, s in enumerate(seg_ids)}
-        self._seg_u = np.array([self._index[network.segment(s).u] for s in seg_ids])
-        self._seg_time = np.array(
-            [network.segment(s).free_flow_time_s for s in seg_ids], dtype=np.float32
-        )
+        self._seg_index = index.segment_index_of
+        self._seg_u = np.array(index.seg_u)
+        self._seg_time = np.array(index.seg_time_s, dtype=np.float32)
 
     def node_to_node_s(self, src: int, dst: int) -> float:
         """Free-flow travel time between two landmarks, seconds."""

@@ -8,9 +8,10 @@ the driving-delay metric sums, or segment lengths (``weight='length'``).
 
 All public entry points (:func:`shortest_path`, :func:`shortest_time_from`,
 :func:`shortest_time_to`, :func:`route_to_segment`) share one internal
-Dijkstra, :func:`dijkstra_tree`: the seed loop that the memoizing layer in
-``repro.perf.routing_cache`` replays on prefiltered adjacency, and the
-reference its results are checked against bit for bit.
+Dijkstra, :func:`dijkstra_tree`: the seed loop, on landmark ids with a
+per-row closed test, that the routing engine in ``repro.perf.routing_cache``
+replays on dense indices, and the reference its results are checked
+against bit for bit.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ def dijkstra_tree(
     if weight not in _WEIGHTS:
         raise ValueError(f"weight must be one of {_WEIGHTS}")
     network.landmark(root)
-    adj = network.in_adjacency() if reverse else network.out_adjacency()
-    wi = 2 if weight == "time" else 3
+    index = network.routing_index()
+    rows, index_of = index.rows[(reverse, weight)], index.index_of
+    node_ids, segment_ids = index.node_ids, index.segment_ids
     dist: dict[int, float] = {root: 0.0}
     prev_seg: dict[int, int] = {}
     done: set[int] = set()
@@ -85,14 +87,15 @@ def dijkstra_tree(
         if target is not None and node == target:
             break
         done.add(node)
-        for row in adj[node]:
-            if row[0] in closed:
+        for k, o, w in rows[index_of[node]]:
+            sid = segment_ids[k]
+            if sid in closed:
                 continue
-            nd = d + row[wi]
-            other = row[1]
+            nd = d + w
+            other = node_ids[o]
             if nd < dist.get(other, inf):
                 dist[other] = nd
-                prev_seg[other] = row[0]
+                prev_seg[other] = sid
                 heapq.heappush(heap, (nd, other))
     return dist, prev_seg
 
@@ -159,8 +162,14 @@ def route_from_segments(network: RoadNetwork, src: int, seg_ids: list[int]) -> R
 
 def append_segment(network: RoadNetwork, head: Route, segment_id: int) -> Route:
     """Extend a route that ends at a segment's head landmark with the
-    segment itself (the paper's route-to-``e_j`` destination semantics)."""
-    return route_from_segments(network, head.src, list(head.segment_ids) + [segment_id])
+    segment itself (the paper's route-to-``e_j`` destination semantics).
+    ``head``'s sums are :func:`route_from_segments`' left fold, so one more
+    term gives the floats a re-sum of the whole sequence would."""
+    seg = network.segment(segment_id)
+    if seg.u != head.dst:
+        raise ValueError("discontinuous segment sequence")
+    time_s, length = head.travel_time_s + seg.free_flow_time_s, head.length_m + seg.length_m
+    return Route(head.nodes + (seg.v,), head.segment_ids + (segment_id,), time_s, length)
 
 
 def shortest_time_from(

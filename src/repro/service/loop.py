@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 
 from repro.data.charlotte import CharlotteScenario
 from repro.dispatch.base import Dispatcher
-from repro.perf.routing_cache import Router
 from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.deadline import DeadlineBudget, ManualClock
 from repro.service.guards import GuardedPredictor, ResilientDispatcher
@@ -151,7 +150,6 @@ class DispatchService:
         service: ServiceConfig | None = None,
         faults: "FaultInjector | None" = None,
         component_faults: "ComponentFaultInjector | None" = None,
-        router: Router | None = None,
         clock: ManualClock | None = None,
         known_persons: frozenset[int] | None = None,
     ) -> None:
@@ -248,7 +246,6 @@ class DispatchService:
             self.resilient_dispatcher,
             config,
             faults=faults,
-            router=router,
             on_cycle=self._on_cycle,
         )
 

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from repro.data.charlotte import CharlotteScenario
 from repro.dispatch.base import Dispatcher
-from repro.perf.routing_cache import Router
 from repro.service.loop import DispatchService, ServiceConfig, ServiceReport
 from repro.service.sharding.partition import GridKeyspace
 from repro.service.sharding.router import ShardedIngestGuard
@@ -91,7 +90,6 @@ class ShardedDispatchService(DispatchService):
         faults: "FaultInjector | None" = None,
         component_faults: "ComponentFaultInjector | None" = None,
         shard_faults: "ShardFaultInjector | None" = None,
-        router: Router | None = None,
         clock: "ManualClock | None" = None,
         known_persons: frozenset[int] | None = None,
     ) -> None:
@@ -103,7 +101,6 @@ class ShardedDispatchService(DispatchService):
             service=service,
             faults=faults,
             component_faults=component_faults,
-            router=router,
             clock=clock,
             known_persons=known_persons,
         )

@@ -244,14 +244,16 @@ class RescueSimulator:
             f" ({detail})" if detail else "",
         )
 
-    def _speed_multiplier(self, t: float) -> float:
-        return max(0.2, 1.0 - self.config.storm_slowdown * self.scenario.timeline.flood_level(t))
-
-    def _leg_times(self, route: Route, t: float) -> np.ndarray:
-        mult = self._speed_multiplier(t)
-        return np.array(
+    def _begin_leg(
+        self, team: RescueTeam, route: Route, t: float, state: TeamState, target: int | None
+    ) -> None:
+        """Start ``route`` at ``t`` with the storm's speed multiplier at ``t``."""
+        flood = self.scenario.timeline.flood_level(t)
+        mult = max(0.2, 1.0 - self.config.storm_slowdown * flood)
+        leg_times = np.array(
             [self.network.segment(s).free_flow_time_s / mult for s in route.segment_ids]
         )
+        team.begin_leg(route, mult, leg_times, t, state, target)
 
     def _nearest_hospital_node(self, node: int) -> int | None:
         times = self.router.time_from(node, closed=self._closed)
@@ -433,10 +435,7 @@ class RescueSimulator:
         if route is None or route.is_trivial:
             team.stop()
             return
-        team.begin_leg(
-            route, self._speed_multiplier(t), self._leg_times(route, t), t,
-            TeamState.TO_HOSPITAL, None,
-        )
+        self._begin_leg(team, route, t, TeamState.TO_HOSPITAL, None)
 
     def _deliver(self, team: RescueTeam, t: float) -> None:
         for rid in team.passengers:
@@ -466,10 +465,7 @@ class RescueSimulator:
             if route is None or route.is_trivial:
                 team.stop()
                 return
-            team.begin_leg(
-                route, self._speed_multiplier(t), self._leg_times(route, t), t,
-                TeamState.TO_SEGMENT, None,
-            )
+            self._begin_leg(team, route, t, TeamState.TO_SEGMENT, None)
             return
         # Flood-aware dispatchers plan over the operable network; unaware
         # ones plan over the full map and their teams stall at the water.
@@ -480,10 +476,7 @@ class RescueSimulator:
         if route is None:
             team.stop()  # destination unreachable through the flood
             return
-        team.begin_leg(
-            route, self._speed_multiplier(t), self._leg_times(route, t), t,
-            TeamState.TO_SEGMENT, cmd.segment_id,
-        )
+        self._begin_leg(team, route, t, TeamState.TO_SEGMENT, cmd.segment_id)
         for req in self._pending.get(cmd.segment_id, ()):
             if req.time_s <= t:
                 self._first_response.setdefault(req.request_id, t)
@@ -532,13 +525,8 @@ class RescueSimulator:
                         team.node, orig_target, closed=self._closed
                     )
                     if route is not None:
-                        team.begin_leg(
-                            route,
-                            self._speed_multiplier(stall_t),
-                            self._leg_times(route, stall_t),
-                            stall_t,
-                            TeamState.TO_SEGMENT,
-                            orig_target,
+                        self._begin_leg(
+                            team, route, stall_t, TeamState.TO_SEGMENT, orig_target
                         )
                         team.leg_start_s = orig_leg_start
                 break

@@ -40,15 +40,11 @@ import numpy as np
 
 from repro.data.charlotte import CharlotteScenario
 from repro.dispatch.base import DispatchObservation, Dispatcher, TeamCommand, TeamView
-from repro.perf.routing_cache import Router, RoutingCache
+from repro.perf.routing_cache import HospitalField, RoutingCache
 from repro.roadnet.routing import Route
 from repro.sim.engine import PickupEvent, RescueSimulator, SimulationConfig, SimulationResult
 from repro.sim.kernel.events import EventHeap, EventKind
-from repro.sim.kernel.routing import (
-    FloodClosureIndex,
-    HospitalField,
-    HospitalFieldCache,
-)
+from repro.sim.kernel.routing import FloodClosureIndex
 from repro.sim.kernel.state import _NO_TARGET, RequestArray, TeamArray
 from repro.sim.requests import RescueRequest
 from repro.sim.teams import RescueTeam
@@ -69,22 +65,14 @@ class EventKernelSimulator(RescueSimulator):
         dispatcher: Dispatcher,
         config: SimulationConfig,
         faults: "FaultInjector | None" = None,
-        router: Router | None = None,
         on_cycle: Callable[[int, float, bool], None] | None = None,
     ) -> None:
-        if router is None:
-            # Per-sim, not the process-wide cache: kernel runs are
-            # usually long.
-            router = RoutingCache(scenario.network)
         super().__init__(
-            scenario, requests, dispatcher, config,
-            faults=faults, router=router, on_cycle=on_cycle,
+            scenario, requests, dispatcher, config, faults=faults, on_cycle=on_cycle
         )
         self._requests_arr = RequestArray(self.requests)
         self._flood_index = FloodClosureIndex(self.network, self.scenario.flood)
-        self._fields = HospitalFieldCache(
-            self.network, [h.node_id for h in self.hospitals]
-        )
+        self._hospital_list = tuple(h.node_id for h in self.hospitals)
         self._field: HospitalField | None = None
         self._field_closed: frozenset[int] | None = None
         # The seed tick grid, replayed with the seed's own accumulated
@@ -200,17 +188,15 @@ class EventKernelSimulator(RescueSimulator):
     def _current_field(self) -> HospitalField:
         # Identity, not equality: the closed set keeps its object through a
         # closure epoch, and an equal set under a new object is a cache hit
-        # in ``_fields`` anyway.
+        # in the routing engine anyway.
         if self._field is None or self._field_closed is not self._closed:
-            adjacency = None
-            if isinstance(self.router, RoutingCache):
-                adjacency = self.router.adjacency(self._closed, reverse=True)
-            self._field = self._fields.field(self._closed, adjacency=adjacency)
+            engine = cast(RoutingCache, self.router)  # no router is passed in
+            self._field = engine.hospital_field(self._hospital_list, self._closed)
             self._field_closed = self._closed
         return self._field
 
     def _nearest_hospital_node(self, node: int) -> int | None:
-        return self._current_field().nearest.get(node)
+        return self._current_field().nearest_hospital(node)
 
     def _hospital_leg_route(self, node: int, hosp: int) -> Route | None:
         # ``hosp`` is this field's nearest(node) by construction; the

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geo.regions import RegionPartition
-from repro.weather.storms import SECONDS_PER_HOUR, StormTimeline
+from repro.weather.storms import StormTimeline
 
 
 class RegionWeatherField:
@@ -20,6 +20,18 @@ class RegionWeatherField:
     def __init__(self, partition: RegionPartition, timeline: StormTimeline) -> None:
         self.partition = partition
         self.timeline = timeline
+        #: ``(timeline, t, flood_level(t))`` of the last evaluation.
+        self._flood_memo: tuple[object, float, float] = (None, float("nan"), 0.0)
+
+    def _flood_level(self, t_seconds: float) -> float:
+        """``timeline.flood_level(t)``, evaluated once per run of calls at
+        one ``t``: per-region loops ask for it once per region."""
+        memo = self._flood_memo
+        if memo[0] is self.timeline and memo[1] == t_seconds:
+            return memo[2]
+        level = self.timeline.flood_level(t_seconds)
+        self._flood_memo = (self.timeline, t_seconds, level)
+        return level
 
     def precipitation_mm_per_h(self, region_id: int, t_seconds: float) -> float:
         """Instantaneous rain rate; the profile value is the storm-peak rate."""
@@ -36,14 +48,6 @@ class RegionWeatherField:
         peak = self.partition.profile(region_id).precipitation_mm
         return peak * self.timeline.intensity_integral_h(0.0, t_seconds)
 
-    def trailing_precipitation_mm(
-        self, region_id: int, t_seconds: float, window_h: float = 48.0
-    ) -> float:
-        """Rain accumulated over the trailing ``window_h`` hours."""
-        peak = self.partition.profile(region_id).precipitation_mm
-        t0 = t_seconds - window_h * SECONDS_PER_HOUR
-        return peak * self.timeline.intensity_integral_h(t0, t_seconds)
-
     def factor_precipitation_mm_per_h(self, region_id: int, t_seconds: float) -> float:
         """The precipitation component of the disaster-related factor vector.
 
@@ -56,7 +60,7 @@ class RegionWeatherField:
         requests appear (Sep 16).
         """
         peak = self.partition.profile(region_id).precipitation_mm
-        return peak * self.timeline.flood_level(t_seconds)
+        return peak * self._flood_level(t_seconds)
 
     def factor_wind_mph(self, region_id: int, t_seconds: float) -> float:
         """The wind component of the factor vector: instantaneous storm wind
@@ -64,7 +68,7 @@ class RegionWeatherField:
         floored at calm-weather 5 mph."""
         peak = self.partition.profile(region_id).wind_mph
         strength = max(
-            self.timeline.intensity(t_seconds), 0.5 * self.timeline.flood_level(t_seconds)
+            self.timeline.intensity(t_seconds), 0.5 * self._flood_level(t_seconds)
         )
         return max(5.0, peak * strength)
 
@@ -77,7 +81,7 @@ class RegionWeatherField:
         :class:`repro.geo.flood.FloodModel` and by the mobility trip model.
         """
         profile = self.partition.profile(region_id)
-        return profile.severity * self.timeline.flood_level(t_seconds)
+        return profile.severity * self._flood_level(t_seconds)
 
     def severity_fn(self):
         """``(region_id, t_seconds) -> severity`` closure for the flood model."""

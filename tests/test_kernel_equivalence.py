@@ -59,9 +59,12 @@ def _config(t0, t1, *, seed=0, step_s=60.0, num_teams=20):
 
 
 def _run(cls, scenario, requests, config, dispatcher=None, faults=None, router=None):
+    # Only the seed simulator takes a router; the kernel always routes
+    # through the network's process-wide engine.
+    extra = {} if router is None else {"router": router}
     sim = cls(
         scenario, list(requests), dispatcher or NearestDispatcher(), config,
-        faults=faults, router=router,
+        faults=faults, **extra,
     )
     return sim.run()
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.perf.routing_cache import (
     DirectRouter,
+    HospitalField,
     RoutingCache,
     clear_routing_caches,
     filtered_adjacency,
@@ -25,7 +26,6 @@ from repro.roadnet.routing import (
     shortest_time_from,
     shortest_time_to,
 )
-from repro.sim.kernel.routing import HospitalField
 
 NUM_CASES = 200
 
@@ -48,8 +48,8 @@ class TestRandomizedEquivalence:
 
         Closure fractions include 0 (free network), mid densities that
         disconnect some pairs, and 1.0 (everything closed).  Every triple
-        is queried three times so the first-touch (target-pruned),
-        promotion (full-tree build) and hit paths all face the same oracle.
+        is queried three times so the tree-building and hit paths all face
+        the same oracle.
         """
         rng = np.random.default_rng(42)
         nodes = np.array(net.landmark_ids())
@@ -126,18 +126,16 @@ class TestRandomizedEquivalence:
 
 class TestCacheMechanics:
     def test_promotion_path_is_consistent(self, net):
-        """First touch (target-pruned), second touch (full-tree build) and
-        third touch (hit) of the same root must all agree."""
+        """First touch (full-tree build) and later touches (hits) of the
+        same root must all agree with the seed's target-pruned search."""
         nodes = net.landmark_ids()
         src, dst = int(nodes[3]), int(nodes[-5])
         cache = RoutingCache(net)
         first = cache.route(src, dst)
-        assert cache.num_trees == 0  # pruned search, nothing cached yet
+        assert cache.num_trees == 1 and (cache.misses, cache.hits) == (1, 0)
         second = cache.route(src, dst)
-        assert cache.num_trees == 1  # promoted to a full tree
-        hits_before = cache.hits
         third = cache.route(src, dst)
-        assert cache.hits == hits_before + 1
+        assert cache.num_trees == 1 and (cache.misses, cache.hits) == (1, 2)
         assert first == second == third == shortest_path(net, src, dst)
 
     def test_cost_row_then_route_is_a_hit(self, net):
@@ -154,7 +152,8 @@ class TestCacheMechanics:
     def test_lru_eviction_keeps_answers_correct(self, net):
         rng = np.random.default_rng(45)
         nodes = np.array(net.landmark_ids())
-        cache = RoutingCache(net, max_closure_sets=2, max_trees_per_closure=4)
+        # Room for about four full trees plus the filtered rows.
+        cache = RoutingCache(net, max_bytes=64 * net.num_landmarks)
         seg_ids = np.array(net.segment_ids())
         closures = [_random_closed(rng, seg_ids, f) for f in (0.0, 0.1, 0.3)]
         for _ in range(40):
@@ -163,24 +162,30 @@ class TestCacheMechanics:
             assert cache.time_from(root, closed=closed) == shortest_time_from(
                 net, root, closed=closed
             )
-            assert len(cache._closures) <= 2
-            assert all(len(line.trees) <= 4 for line in cache._closures.values())
+            assert cache.stored_bytes <= cache.max_bytes
+            assert cache.num_trees <= 4
 
     def test_adjacency_lru_bounded_and_cleared(self, net):
         rng = np.random.default_rng(47)
         seg_ids = np.array(net.segment_ids())
-        cache = RoutingCache(net, max_closure_sets=2)
         closures = [_random_closed(rng, seg_ids, f) for f in (0.05, 0.1, 0.3)]
+        last = [("rows", closures[-1], reverse, "time") for reverse in (False, True)]
+        sizing = RoutingCache(net)
+        for reverse in (False, True):
+            sizing._rows(closures[-1], reverse, "time")
+        # A budget that holds exactly the last closure's two row sets.
+        cache = RoutingCache(net, max_bytes=sum(sizing._lru[k][1] for k in last))
         for closed in closures:
             for reverse in (False, True):
-                adj = cache.adjacency(closed, reverse=reverse)
-                assert cache.adjacency(closed, reverse=reverse) is adj
-                assert len(cache._adjacencies) <= 2
-        assert set(cache._adjacencies) == {(closures[-1], False), (closures[-1], True)}
+                rows = cache._rows(closed, reverse, "time")
+                assert rows == filtered_adjacency(net, closed, reverse)
+                assert cache._rows(closed, reverse, "time") is rows
+                assert cache.stored_bytes <= cache.max_bytes
+        assert set(cache._lru) == set(last)
         cache.route(int(net.landmark_ids()[0]), int(net.landmark_ids()[1]))
         cache.clear()
-        assert not cache._adjacencies
-        assert cache.num_trees == 0
+        assert not cache._lru
+        assert cache.num_trees == 0 and cache.stored_bytes == 0
 
     def test_invalid_weight_rejected(self, net):
         cache = RoutingCache(net)
@@ -190,7 +195,7 @@ class TestCacheMechanics:
         with pytest.raises(ValueError):
             cache.time_from(int(nodes[0]), weight="fuel")
         with pytest.raises(ValueError):
-            RoutingCache(net, max_closure_sets=0)
+            RoutingCache(net, max_bytes=0)
 
     def test_unknown_landmark_rejected(self, net):
         cache = RoutingCache(net)
@@ -232,19 +237,34 @@ class TestProcessWideWiring:
 class TestFilteredAdjacency:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_drops_exactly_closed_rows_in_order(self, net, reverse):
+        """Index rows are the seed adjacency rows, in order, on dense
+        indices; a closed set drops exactly its segments' rows."""
         rng = np.random.default_rng(48)
         seg_ids = np.array(net.segment_ids())
-        base = net.in_adjacency() if reverse else net.out_adjacency()
+        index = net.routing_index()
+        adjacent = net.in_segments if reverse else net.out_segments
+        base = index.rows[(reverse, "time")]
+        assert index.node_ids == sorted(index.node_ids)
+        for i, node in enumerate(index.node_ids):
+            assert [
+                (index.segment_ids[k], index.node_ids[other], w) for k, other, w in base[i]
+            ] == [
+                (s.segment_id, s.u if reverse else s.v, s.free_flow_time_s)
+                for s in adjacent(node)
+            ]
         for fraction in (0.02, 0.3, 1.0):
             closed = _random_closed(rng, seg_ids, fraction)
-            adj = filtered_adjacency(net, closed, reverse=reverse)
-            assert list(adj) == list(base)
-            for node, rows in base.items():
-                assert adj[node] == [row for row in rows if row[0] not in closed]
+            rows = filtered_adjacency(net, closed, reverse=reverse)
+            assert len(rows) == len(base)
+            for i, node_rows in enumerate(base):
+                assert rows[i] == [
+                    row for row in node_rows if index.segment_ids[row[0]] not in closed
+                ]
 
     def test_empty_closed_set_is_base_adjacency(self, net):
-        assert filtered_adjacency(net, frozenset()) is net.out_adjacency()
-        assert filtered_adjacency(net, frozenset(), reverse=True) is net.in_adjacency()
+        rows = net.routing_index().rows
+        assert filtered_adjacency(net, frozenset()) is rows[(False, "time")]
+        assert filtered_adjacency(net, frozenset(), reverse=True) is rows[(True, "time")]
 
 
 class TestHospitalField:
@@ -270,14 +290,14 @@ class TestHospitalField:
                 best = min(costs)
                 if best == float("inf"):
                     unreachable += 1
-                    assert node not in field.nearest
+                    assert field.nearest_hospital(node) is None
                     assert field.route(node) is None
                     continue
                 if costs.count(best) > 1:
                     continue
                 target = hospitals[costs.index(best)]
                 checked += 1
-                assert field.nearest[node] == target
+                assert field.nearest_hospital(node) == target
                 assert field.route(node) == router.route(node, target, closed=closed)
         assert checked > 50
         assert unreachable > 0, "closure densities must maroon some nodes"
@@ -285,9 +305,10 @@ class TestHospitalField:
 
 class TestPrunedTreeProperty:
     def test_pruned_and_full_trees_agree_on_settled_labels(self, net):
-        """The invariant the first-touch optimization rests on: a run that
-        stops at ``target`` has settled exactly the labels the full run
-        settles, with identical distances and predecessors."""
+        """The invariant that lets the engine's full trees answer what the
+        seed's target-pruned ``shortest_path`` answers: a run that stops at
+        ``target`` has settled exactly the labels the full run settles, with
+        identical distances and predecessors."""
         rng = np.random.default_rng(46)
         nodes = np.array(net.landmark_ids())
         for _ in range(20):
@@ -318,3 +339,154 @@ def test_dotted_import_binds_the_module():
     assert rc.filtered_adjacency is filtered_adjacency
     assert rc.routing_cache is routing_cache
     assert repro.perf.routing_cache is rc
+
+
+class TestSharedEngine:
+    """One engine per network, shared by every simulation and thread."""
+
+    @pytest.fixture(scope="class")
+    def flooded_window(self, florence_scenario):
+        """(scenario, requests, config) over two flooded hours after the rain."""
+        from repro.sim.engine import SimulationConfig
+        from repro.sim.requests import RescueRequest
+
+        scenario = florence_scenario
+        network = scenario.network
+        rng = np.random.default_rng(12)
+        t0 = scenario.timeline.storm_end_s
+        t1 = t0 + 2.0 * 3_600.0
+        requests = []
+        for i, seg in enumerate(rng.choice(np.array(network.segment_ids()), size=50)):
+            requests.append(
+                RescueRequest(
+                    request_id=i,
+                    person_id=i,
+                    time_s=float(t0 + rng.uniform(0.0, (t1 - t0) * 0.8)),
+                    segment_id=int(seg),
+                    node_id=network.segment(int(seg)).u,
+                )
+            )
+        config = SimulationConfig(t0_s=t0, t1_s=t1, num_teams=15, seed=2)
+        return scenario, requests, config
+
+    def test_kernel_result_independent_of_cache_state(self, flooded_window):
+        """Cold cache, warm shared cache, and a cleared cache all give the
+        same :class:`SimulationResult`, with the flood closing roads."""
+        from repro.dispatch.rescue_ts import RescueTsDispatcher
+        from repro.sim.kernel import EventKernelSimulator
+
+        scenario, requests, config = flooded_window
+
+        def run():
+            sim = EventKernelSimulator(
+                scenario, list(requests), RescueTsDispatcher(), config
+            )
+            return sim.run()
+
+        clear_routing_caches()
+        try:
+            cold = run()
+            cache = routing_cache(scenario.network)
+            assert cache.num_trees > 0
+            hits = cache.hits
+            warm = run()
+            assert cache.hits > hits, "the second run must reuse stored trees"
+            clear_routing_caches()
+            cleared = run()
+        finally:
+            clear_routing_caches()
+        assert cold.num_served > 0
+        assert any(i.kind == "reroute" for i in cold.incidents), (
+            "the window must close roads under driving teams"
+        )
+        for other in (warm, cleared):
+            assert other.pickups == cold.pickups
+            assert other.deliveries == cold.deliveries
+            assert other.serving_samples == cold.serving_samples
+            assert list(other.incidents) == list(cold.incidents)
+            assert other.requests == cold.requests
+
+    def test_concurrent_callers_get_exact_answers(self, net):
+        """Threads share one small-budget cache with interleaved closed sets
+        (an abandoned timed-out attempt can still be simulating beside the
+        next one): no bookkeeping step raises, every answer equals the seed
+        Dijkstra's, and the byte count loses no update."""
+        import sys
+        import threading
+
+        seg_ids = np.array(net.segment_ids())
+        rng = np.random.default_rng(50)
+        # Few roots, so the threads hit, build and evict the same trees.
+        nodes = rng.choice(np.array(net.landmark_ids()), size=12, replace=False)
+        closures = [_random_closed(rng, seg_ids, f) for f in (0.0, 0.05, 0.2, 0.4)]
+        # Copies: equal closed sets arriving as different objects, as they
+        # do from two simulations.
+        closures += [frozenset(set(c)) for c in closures[1:]]
+        cache = RoutingCache(net, max_bytes=40 * 12 * net.num_landmarks)
+        direct = DirectRouter(net)
+        errors: list[BaseException] = []
+        mismatches: list[tuple] = []
+
+        def worker(seed):
+            local = np.random.default_rng(seed)
+            try:
+                for _ in range(100):
+                    closed = closures[int(local.integers(len(closures)))]
+                    a, b = (int(n) for n in local.choice(nodes, size=2))
+                    seg = int(local.choice(seg_ids))
+                    kind = int(local.integers(4))
+                    if kind == 0:
+                        got, want = cache.route(a, b, closed), direct.route(a, b, closed)
+                    elif kind == 1:
+                        got = cache.route_to_segment(a, seg, closed)
+                        want = direct.route_to_segment(a, seg, closed)
+                    elif kind == 2:
+                        got, want = dict(cache.time_from(a, closed)), direct.time_from(a, closed)
+                    else:
+                        got, want = dict(cache.time_to(b, closed)), direct.time_to(b, closed)
+                    if got != want:
+                        mismatches.append((kind, a, b, seg))
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert not mismatches, mismatches[:5]
+        assert cache.hits > 0 and cache.misses > cache.num_trees, "entries must be evicted"
+        assert cache.stored_bytes == sum(n for _, n in cache._lru.values())
+        assert cache.stored_bytes <= cache.max_bytes
+
+    def test_stored_tree_bytes_stay_within_budget(self, net):
+        rng = np.random.default_rng(51)
+        seg_ids = np.array(net.segment_ids())
+        nodes = np.array(net.landmark_ids())
+        hospitals = tuple(int(n) for n in nodes[:5])
+        budget = 25 * 12 * net.num_landmarks
+        cache = RoutingCache(net, max_bytes=budget)
+        closures = [_random_closed(rng, seg_ids, f) for f in (0.0, 0.1, 0.3)]
+        evicted = False
+        for _ in range(120):
+            closed = closures[int(rng.integers(len(closures)))]
+            root = int(rng.choice(nodes))
+            cache.time_from(root, closed)
+            cache.time_to(root, closed)
+            cache.route(root, int(rng.choice(nodes)), closed)
+            cache.hospital_field(hospitals, closed)
+            tree_bytes = sum(n for key, (_, n) in cache._lru.items() if key[0] == "tree")
+            assert tree_bytes <= cache.stored_bytes <= budget
+            assert cache.stored_bytes == sum(n for _, n in cache._lru.values())
+            evicted |= cache.num_trees < cache.misses
+        assert evicted, "the budget must force evictions"
+        # A compact tree is a float64 and two int32 arrays over the nodes.
+        tree = cache.time_from(int(nodes[0]))
+        assert tree.nbytes <= 16 * net.num_landmarks
