@@ -25,12 +25,10 @@ from repro.perf.routing_cache import (
     DirectRouter,
     Router,
     RoutingCache,
-    clear_routing_caches,
 )
 
 __all__ = [
     "DirectRouter",
     "Router",
     "RoutingCache",
-    "clear_routing_caches",
 ]

@@ -497,22 +497,6 @@ class RoutingCache:
 Router = RoutingCache | DirectRouter
 
 
-# -- process-wide wiring -----------------------------------------------------
-
-_CACHES: dict[int, RoutingCache] = {}
-
-
 def routing_cache(network: RoadNetwork) -> RoutingCache:
-    """The network's one routing engine (same lifetime contract as
-    :func:`repro.roadnet.matrix.travel_time_oracle`)."""
-    key = id(network)
-    cache = _CACHES.get(key)
-    if cache is None or cache.network is not network:
-        cache = RoutingCache(network)
-        _CACHES[key] = cache  # repro: allow-fork-unsafe -- per-process memo; affects speed, never results
-    return cache
-
-
-def clear_routing_caches() -> None:
-    """Drop every per-network cache (tests and long-lived processes)."""
-    _CACHES.clear()  # repro: allow-fork-unsafe -- per-process memo; affects speed, never results
+    """The network's one routing engine, kept for the network's lifetime."""
+    return network.engine("routing", RoutingCache)

@@ -10,10 +10,14 @@ pairs threaded through routing and dispatching.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TypeVar, cast
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+_E = TypeVar("_E")
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,15 @@ class RoadNetwork:
         #: Dense-index adjacency for the Dijkstra loops; rebuilt lazily after
         #: topology changes so routing never pays per-call RoadSegment lookups.
         self._routing_index: RoutingIndex | None = None
+        #: Engines derived from the topology (the routing engine, the
+        #: travel-time oracle), keyed by name; see :meth:`engine`.
+        self._engines: dict[str, object] = {}
+
+    def __getstate__(self) -> dict[str, object]:
+        # Engines are rebuilt on demand, never carried into a pickle or copy.
+        state = self.__dict__.copy()
+        state["_engines"] = {}
+        return state
 
     # -- construction -----------------------------------------------------
 
@@ -93,6 +106,7 @@ class RoadNetwork:
         self._out[landmark.node_id] = []
         self._in[landmark.node_id] = []
         self._routing_index = None
+        self._engines.clear()
 
     def add_segment(self, segment: RoadSegment) -> None:
         self._require_mutable()
@@ -111,6 +125,7 @@ class RoadNetwork:
         self._in[segment.v].append(segment.segment_id)
         self._by_endpoints[(segment.u, segment.v)] = segment.segment_id
         self._routing_index = None
+        self._engines.clear()
 
     def freeze(self) -> "RoadNetwork":
         """Finalize construction and build spatial indexes."""
@@ -188,6 +203,14 @@ class RoadNetwork:
         if self._routing_index is None:
             self._routing_index = RoutingIndex(self)
         return self._routing_index
+
+    def engine(self, name: str, build: Callable[["RoadNetwork"], _E]) -> _E:
+        """The network's ``name`` engine, built as ``build(self)`` on first
+        use and kept exactly as long as the network."""
+        found = self._engines.get(name)
+        if found is None:
+            found = self._engines[name] = build(self)
+        return cast(_E, found)
 
     # -- geometry ----------------------------------------------------------
 

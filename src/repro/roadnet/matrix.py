@@ -60,12 +60,7 @@ class TravelTimeOracle:
         return self._times[np.ix_(rows, self._seg_u[idx])] + self._seg_time[idx]
 
 
-_ORACLE_CACHE: dict[int, TravelTimeOracle] = {}
-
-
 def travel_time_oracle(network: RoadNetwork) -> TravelTimeOracle:
-    """Per-network memoized oracle (the matrix takes ~a second to build)."""
-    key = id(network)
-    if key not in _ORACLE_CACHE:
-        _ORACLE_CACHE[key] = TravelTimeOracle(network)  # repro: allow-fork-unsafe -- per-process memo; affects speed, never results
-    return _ORACLE_CACHE[key]
+    """The network's oracle, built once (the matrix takes ~a second) and
+    kept for the network's lifetime."""
+    return network.engine("travel_time_oracle", TravelTimeOracle)

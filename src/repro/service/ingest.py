@@ -29,6 +29,7 @@ from repro.service.records import GpsRecord, IngestSchema, QuarantinedRecord
 
 if TYPE_CHECKING:
     from repro.faults.models import ComponentFaultInjector
+    from repro.service.sharding.router import ShardedIngestGuard
 
 #: Chaos hook: rewrites a tick's record batch (corrupt-record storms).
 RecordCorrupter = Callable[[list[GpsRecord], float], list[GpsRecord]]
@@ -250,7 +251,7 @@ class ValidatedPositionFeed:
     def __init__(
         self,
         inner: PositionFeed,
-        guard: IngestGuard,
+        guard: "IngestGuard | ShardedIngestGuard",
         network: RoadNetwork,
         clock: Callable[[], float] | None = None,
         deadline_slice_s: float | None = None,

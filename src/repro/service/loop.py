@@ -4,9 +4,10 @@
 simulation engine *is* the service loop (one dispatch cycle per 5-minute
 period); the service contributes the armour around it:
 
-* the dispatcher's position feed is routed through the ingest guard
-  (validation, quarantine, backpressure) — see
-  :mod:`repro.service.ingest`;
+* the dispatcher's position feed is routed through the sharded ingest
+  guard (validation, quarantine, backpressure per shard; one shard by
+  default) with a shard supervisor on the heartbeat — see
+  :mod:`repro.service.ingest` and :mod:`repro.service.sharding`;
 * the SVM predictor gets a circuit breaker with last-known-good
   fallback, the RL policy gets one with a nearest-team heuristic
   fallback — see :mod:`repro.service.guards`;
@@ -33,12 +34,14 @@ from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.deadline import DeadlineBudget, ManualClock
 from repro.service.guards import GuardedPredictor, ResilientDispatcher
 from repro.service.ingest import (
-    IngestGuard,
     RecordCorrupter,
     ValidatedPositionFeed,
     make_record_corrupter,
 )
 from repro.service.records import IngestSchema
+from repro.service.sharding.partition import GridKeyspace
+from repro.service.sharding.router import ShardedIngestGuard
+from repro.service.sharding.supervisor import ShardingConfig, ShardSupervisor
 from repro.sim.engine import (
     IncidentEvent,
     SimulationConfig,
@@ -48,7 +51,11 @@ from repro.sim.kernel import EventKernelSimulator
 from repro.sim.requests import RescueRequest
 
 if TYPE_CHECKING:
-    from repro.faults.models import ComponentFaultInjector, FaultInjector
+    from repro.faults.models import (
+        ComponentFaultInjector,
+        FaultInjector,
+        ShardFaultInjector,
+    )
 
 logger = logging.getLogger("repro.service.loop")
 
@@ -94,6 +101,8 @@ class ServiceReport:
     ingest: dict[str, object]
     policy_fallback_cycles: int
     predictor_fallback_serves: int
+    #: The shard supervisor's failover digest.
+    supervisor: dict[str, object]
 
     @property
     def all_ticks_completed(self) -> bool:
@@ -117,6 +126,7 @@ class ServiceReport:
             "ingest": self.ingest,
             "policy_fallback_cycles": self.policy_fallback_cycles,
             "predictor_fallback_serves": self.predictor_fallback_serves,
+            "supervisor": self.supervisor,
         }
 
     def _incident_kinds(self) -> dict[str, int]:
@@ -138,7 +148,12 @@ class DispatchService:
 
     ``component_faults`` composes the chaos layer: predictor exceptions,
     policy latency spikes (advancing the deterministic ``clock``), and
-    corrupt-record storms ahead of the ingest guard.
+    corrupt-record storms ahead of the ingest guard.  ``sharding`` splits
+    ingest across isolated shards (one by default) and ``shard_faults``
+    kills, stalls and skews them; the supervisor is consulted only on
+    ticks whose snapshot actually drained (a tick the policy breaker
+    served from its fallback never touched the feed, so silent shards
+    then are not evidence of death).
     """
 
     def __init__(
@@ -148,8 +163,10 @@ class DispatchService:
         dispatcher: Dispatcher,
         config: SimulationConfig,
         service: ServiceConfig | None = None,
+        sharding: ShardingConfig | None = None,
         faults: "FaultInjector | None" = None,
         component_faults: "ComponentFaultInjector | None" = None,
+        shard_faults: "ShardFaultInjector | None" = None,
         clock: ManualClock | None = None,
         known_persons: frozenset[int] | None = None,
     ) -> None:
@@ -157,13 +174,20 @@ class DispatchService:
         self.requests = requests
         self.config = config
         self.service = service or ServiceConfig()
+        self.sharding = sharding or ShardingConfig()
         self.clock = clock if clock is not None else ManualClock()
         self.component_faults = (
             component_faults
             if component_faults is not None and not component_faults.is_null
             else None
         )
+        self.shard_faults = (
+            shard_faults
+            if shard_faults is not None and not shard_faults.is_null
+            else None
+        )
         svc = self.service
+        shr = self.sharding
         self.incidents: deque[IncidentEvent] = deque(maxlen=svc.max_incidents)
         self.incidents_dropped = 0
         self.ticks_completed = 0
@@ -171,19 +195,30 @@ class DispatchService:
         self.predictor_breaker = CircuitBreaker("predictor", svc.predictor_breaker)
         self.policy_breaker = CircuitBreaker("policy", svc.policy_breaker)
 
-        # -- stage 1: ingest guard around the position feed ---------------
+        # -- stage 1: sharded ingest guard around the position feed -------
+        part = scenario.partition
         schema = IngestSchema(
-            width_m=scenario.partition.width_m,
-            height_m=scenario.partition.height_m,
+            width_m=part.width_m,
+            height_m=part.height_m,
             known_persons=known_persons,
             known_nodes=frozenset(scenario.network.landmark_ids()),
             future_slack_s=svc.future_slack_s,
         )
-        self.ingest_guard = IngestGuard(
+        self.ingest_guard = ShardedIngestGuard(
             schema,
-            max_queue=svc.max_queue,
+            GridKeyspace(
+                part.width_m, part.height_m, cells_x=shr.cells_x, cells_y=shr.cells_y
+            ),
+            shr.num_shards,
+            shard_max_queue=shr.max_queue_per_shard(svc.max_queue),
             max_quarantine=svc.max_quarantine,
             max_tracked_persons=svc.max_tracked_persons,
+            fault_hook=(
+                self._apply_shard_faults if self.shard_faults is not None else None
+            ),
+        )
+        self.supervisor = ShardSupervisor(
+            self.ingest_guard, config=shr.supervisor, incident_sink=self.record_incident
         )
         corrupter: RecordCorrupter | None = None
         if self.component_faults is not None:
@@ -259,8 +294,37 @@ class DispatchService:
         ring.append(IncidentEvent(kind=kind, t_s=t_s, team_id=None, detail=detail))
         logger.info("service incident %s t=%.0f (%s)", kind, t_s, detail)
 
+    def _apply_shard_faults(self, t_s: float) -> None:
+        """Set every shard's health to the injector's windows at ``t``.
+
+        A pure function of simulated time: kills and revivals fire at
+        window edges, stall and skew levels follow their windows.  The
+        guard runs it at most once per distinct timestamp.
+        """
+        injector = self.shard_faults
+        assert injector is not None
+        for shard in self.ingest_guard.shards:
+            killed = injector.killed(shard.shard_id, t_s)
+            if killed and shard.alive:
+                lost = shard.kill()
+                self.record_incident(
+                    "shard_killed",
+                    f"shard {shard.shard_id} process died "
+                    f"({lost} queued records lost)",
+                    t_s,
+                )
+            elif not killed and not shard.alive:
+                shard.revive()
+                self.record_incident(
+                    "shard_revived", f"shard {shard.shard_id} process is back", t_s
+                )
+            shard.stall_s = injector.stall_s(shard.shard_id, t_s)
+            shard.capacity_divisor = injector.capacity_divisor(shard.shard_id, t_s)
+
     def _on_cycle(self, cycle_index: int, t_s: float, ran: bool) -> None:
         self.ticks_completed += 1
+        if self.ingest_guard.last_snapshot_t_s == t_s:
+            self.supervisor.on_tick(cycle_index, t_s)
 
     def expected_ticks(self) -> int:
         """Dispatch cycles the engine will execute over the window."""
@@ -294,6 +358,7 @@ class DispatchService:
                 if self.guarded_predictor is not None
                 else 0
             ),
+            supervisor=self.supervisor.summary(),
         )
         logger.info(
             "service run complete: %d/%d ticks, %d service incidents, "

@@ -1,17 +1,17 @@
 """Sharded ingest topology: isolation, failover, and load generation.
 
-The single guarded loop of PR 5 scaled out: the GPS ingest stream is
-partitioned geographically across N isolated shards
+The GPS ingest stream of the dispatch service is partitioned
+geographically across N isolated shards
 (:mod:`~repro.service.sharding.partition`,
 :mod:`~repro.service.sharding.shard`,
-:mod:`~repro.service.sharding.router`), a supervisor watches heartbeats
-and commands bounded failover/rebalance moves
-(:mod:`~repro.service.sharding.supervisor`), the sharded service wires
-it into the PR 5 loop with bit-identity on the clean path
-(:mod:`~repro.service.sharding.service`), shard-level chaos proves the
-invariants (:mod:`~repro.service.sharding.chaos`), and the deterministic
-load generator drives millions of synthetic records per simulated hour
-(:mod:`~repro.service.sharding.loadgen`).
+:mod:`~repro.service.sharding.router`), and a supervisor watches
+heartbeats and commands bounded failover/rebalance moves
+(:mod:`~repro.service.sharding.supervisor`).
+:class:`~repro.service.loop.DispatchService` always ingests through this
+layer (one shard by default) and the service chaos harness
+(:mod:`repro.service.chaos`) kills, stalls and skews its shards; the
+deterministic load generator drives millions of synthetic records per
+simulated hour (:mod:`~repro.service.sharding.loadgen`).
 """
 
 from repro.service.sharding.loadgen import (
@@ -32,24 +32,14 @@ from repro.service.sharding.partition import (
     merge_shard_records,
 )
 from repro.service.sharding.router import ShardedIngestGuard
-from repro.service.sharding.service import (
-    ShardedDispatchService,
-    ShardedServiceReport,
-    ShardingConfig,
-)
 from repro.service.sharding.shard import Shard
-from repro.service.sharding.chaos import (
-    ShardChaosConfig,
-    ShardChaosHarness,
-    ShardSeedVerdict,
-    run_shard_chaos,
-)
 from repro.service.sharding.supervisor import (
     STATUS_ABANDONED,
     STATUS_ACTIVE,
     STATUS_FAILED,
     FailoverEvent,
     RebalanceEvent,
+    ShardingConfig,
     ShardSupervisor,
     SupervisorConfig,
 )
@@ -66,13 +56,8 @@ __all__ = [
     "RebalanceEvent",
     "Shard",
     "ShardAssignment",
-    "ShardChaosConfig",
-    "ShardChaosHarness",
-    "ShardSeedVerdict",
     "ShardSupervisor",
-    "ShardedDispatchService",
     "ShardedIngestGuard",
-    "ShardedServiceReport",
     "ShardingConfig",
     "SupervisorConfig",
     "default_output_path",
@@ -82,6 +67,5 @@ __all__ = [
     "merge_shard_records",
     "quick_config",
     "run_loadgen",
-    "run_shard_chaos",
     "validate_loadgen_payload",
 ]

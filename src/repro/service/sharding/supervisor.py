@@ -76,6 +76,36 @@ class SupervisorConfig:
 
 
 @dataclass(frozen=True)
+class ShardingConfig:
+    """Ingest topology: keyspace grid, shard count, supervision.
+
+    The default is one shard owning the whole keyspace, which ingests
+    exactly as a single :class:`~repro.service.ingest.IngestGuard`.
+    """
+
+    num_shards: int = 1
+    cells_x: int = 8
+    cells_y: int = 8
+    #: Per-shard queue bound; ``None`` divides the service-level
+    #: ``max_queue`` evenly so total capacity matches the one-shard run.
+    shard_max_queue: int | None = None
+    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
+
+    def __post_init__(self) -> None:
+        if self.num_shards < 1:
+            raise ValueError("need at least one shard")
+        if self.cells_x < 1 or self.cells_y < 1:
+            raise ValueError("keyspace needs at least one cell per axis")
+        if self.shard_max_queue is not None and self.shard_max_queue < 1:
+            raise ValueError("per-shard queue bound must be positive")
+
+    def max_queue_per_shard(self, service_max_queue: int) -> int:
+        if self.shard_max_queue is not None:
+            return self.shard_max_queue
+        return max(1, service_max_queue // self.num_shards)
+
+
+@dataclass(frozen=True)
 class FailoverEvent:
     """One keyspace move (or degradation), with its coverage gap."""
 

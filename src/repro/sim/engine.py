@@ -173,7 +173,7 @@ class RescueSimulator:
     ) -> None:
         self.scenario = scenario
         self.network = scenario.network
-        #: Routing entry point for every in-sim Dijkstra: the process-wide
+        #: Routing entry point for every in-sim Dijkstra: the network's
         #: closure-aware cache by default, or an explicit router (the
         #: equivalence tests pass a DirectRouter to reproduce seed behavior).
         self.router = router if router is not None else routing_cache(scenario.network)

@@ -1,5 +1,5 @@
 """Flood-closure index for the event kernel (routing itself goes through
-the network's process-wide :func:`~repro.perf.routing_cache.routing_cache`).
+the network's one :func:`~repro.perf.routing_cache.routing_cache`).
 
 :class:`FloodClosureIndex` recomputes the flood's closed-segment set
 without re-deriving static geometry: midpoint altitudes and region

@@ -191,3 +191,19 @@ class TestResumableCommands:
         captured = capsys.readouterr()
         assert captured.out == out
         assert "reusing stored cell" in captured.err
+
+
+class TestChaosProfiles:
+    @pytest.mark.parametrize(
+        "profile, known",
+        [
+            ("sever", "severe"),
+            ("shard-typo", "shard-blackout"),
+            ("train-typo", "train-severe"),
+            ("worker-typo", "worker-kill"),
+        ],
+    )
+    def test_unknown_profile_exits_2(self, profile, known, capsys):
+        """Each campaign config rejects the typo before any world is built."""
+        assert main(["chaos", "--profile", profile, "--quick", "--seeds", "0"]) == 2
+        assert known in capsys.readouterr().err

@@ -15,7 +15,6 @@ from repro.perf.routing_cache import (
     DirectRouter,
     HospitalField,
     RoutingCache,
-    clear_routing_caches,
     filtered_adjacency,
     routing_cache,
 )
@@ -216,12 +215,37 @@ class TestCacheMechanics:
 
 class TestProcessWideWiring:
     def test_cache_is_per_network_and_reused(self, net):
-        clear_routing_caches()
-        try:
-            a = routing_cache(net)
-            assert routing_cache(net) is a
-        finally:
-            clear_routing_caches()
+        import copy
+
+        a = routing_cache(net)
+        assert routing_cache(net) is a
+        assert a.network is net
+        other = copy.deepcopy(net)
+        assert routing_cache(other) is not a
+        assert routing_cache(other).network is other
+
+    def test_engines_live_exactly_as_long_as_the_network(self, net):
+        """A dropped network's engine and oracle are collected with it, and
+        neither rides along when the network is pickled or copied."""
+        import copy
+        import gc
+        import pickle
+        import weakref
+
+        from repro.roadnet.matrix import travel_time_oracle
+
+        routing_cache(net).time_from(int(net.landmark_ids()[0]))
+        travel_time_oracle(net)
+        for clone in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert clone._engines == {}
+        dropped = copy.deepcopy(net)
+        engine = weakref.ref(routing_cache(dropped))
+        oracle = weakref.ref(travel_time_oracle(dropped))
+        assert travel_time_oracle(dropped) is oracle()
+        del dropped
+        gc.collect()
+        assert engine() is None
+        assert oracle() is None
 
     def test_direct_router_matches_seed_functions(self, net):
         nodes = net.landmark_ids()
@@ -383,18 +407,18 @@ class TestSharedEngine:
             )
             return sim.run()
 
-        clear_routing_caches()
+        cache = routing_cache(scenario.network)
+        cache.clear()
         try:
             cold = run()
-            cache = routing_cache(scenario.network)
             assert cache.num_trees > 0
             hits = cache.hits
             warm = run()
             assert cache.hits > hits, "the second run must reuse stored trees"
-            clear_routing_caches()
+            cache.clear()
             cleared = run()
         finally:
-            clear_routing_caches()
+            cache.clear()
         assert cold.num_served > 0
         assert any(i.kind == "reroute" for i in cold.incidents), (
             "the window must close roads under driving teams"
