@@ -22,7 +22,6 @@ from repro.training.chaos import (
     TrainChaosConfig,
     TrainChaosHarness,
     TrainSeedVerdict,
-    run_train_chaos,
 )
 from repro.training.health import (
     ANOMALY_KINDS,
@@ -59,7 +58,6 @@ __all__ = [
     "TrainingAnomalyError",
     "TrainingSentinel",
     "replay_checksum",
-    "run_train_chaos",
     "sentinel_training",
     "supervised_sentinel_training",
 ]

@@ -10,6 +10,7 @@ report plumbing without rebuilding the world.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -138,14 +139,24 @@ class TestChaosCli:
             ],
         }
 
+    def patch_harness(self, monkeypatch, report, seen=None):
+        """Replace the worker harness with one that returns ``report``."""
+
+        class FakeHarness:
+            def __init__(self, config):
+                if seen is not None:
+                    seen["config"] = config
+
+            def run(self, progress=None, out_path=None):
+                if out_path:
+                    pathlib.Path(out_path).write_text(json.dumps(report))
+                return report
+
+        monkeypatch.setattr("repro.rollouts.chaos.RolloutChaosHarness", FakeHarness)
+
     def test_worker_profiles_route_to_rollout_harness(self, monkeypatch, capsys):
         seen = {}
-
-        def runner(config, out_path=None, progress=None):
-            seen["config"] = config
-            return self.fake_report()
-
-        monkeypatch.setattr("repro.rollouts.chaos.run_rollout_chaos", runner)
+        self.patch_harness(monkeypatch, self.fake_report(), seen)
         assert main(["chaos", "--profile", "worker-kill", "--quick",
                      "--seeds", "0"]) == 0
         assert seen["config"].profile == "worker-kill"
@@ -156,23 +167,13 @@ class TestChaosCli:
         assert "all worker chaos invariants held" in out
 
     def test_violations_fail_the_gate(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            "repro.rollouts.chaos.run_rollout_chaos",
-            lambda config, out_path=None, progress=None: self.fake_report(ok=False),
-        )
+        self.patch_harness(monkeypatch, self.fake_report(ok=False))
         assert main(["chaos", "--profile", "worker-kill", "--quick"]) == 1
         assert "VIOLATION" in capsys.readouterr().err
 
     def test_report_artifact_is_written(self, monkeypatch, tmp_path, capsys):
         out = tmp_path / "worker-chaos.json"
-
-        def runner(config, out_path=None, progress=None):
-            report = self.fake_report()
-            if out_path:
-                out.write_text(json.dumps(report))
-            return report
-
-        monkeypatch.setattr("repro.rollouts.chaos.run_rollout_chaos", runner)
+        self.patch_harness(monkeypatch, self.fake_report())
         assert main(["chaos", "--profile", "worker-kill", "--quick",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["ok"] is True

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.training import TrainChaosConfig, TrainChaosHarness, run_train_chaos
+from repro.training import TrainChaosConfig, TrainChaosHarness
 from repro.training.chaos import DETECTION_MAP, _matches
 
 
@@ -101,7 +101,7 @@ class TestRunTrainChaos:
         work = tmp_path / "work"
         out = tmp_path / "report.json"
         config = small_config(work_dir=str(work))
-        report = run_train_chaos(config, out_path=out, dataset=michael_small)
+        report = TrainChaosHarness(config, dataset=michael_small).run(out_path=out)
         with open(out) as fh:
             assert json.load(fh) == report
         # The persisted run dirs (journals, checkpoints) survive for CI.
