@@ -44,6 +44,11 @@ class TrainedMobiRescue:
     episode_service_rates: list[float]
 
 
+#: Called-in demand of a pretraining candidate, drawn uniformly: the same
+#: stream as ``rng.choice`` over the list, without its array round trip.
+_PENDING_DRAWS = (0.0, 0.0, 1.0, 2.0, 5.0)
+
+
 def pretrain_agent(
     agent: DQNAgent,
     config: MobiRescueConfig,
@@ -81,7 +86,7 @@ def pretrain_agent(
                 # Padded slots: the mask forbids them; target 0 keeps the
                 # regression well-conditioned.
                 continue
-            pending = rng.choice([0.0, 0.0, 1.0, 2.0, 5.0])
+            pending = _PENDING_DRAWS[int(rng.integers(0, len(_PENDING_DRAWS)))]
             predicted = float(rng.uniform(0, 10))
             tt = float(rng.uniform(30.0, 3_600.0))
             x[i, f * j] = min(pending, state_mod.DEMAND_SCALE) / state_mod.DEMAND_SCALE

@@ -35,15 +35,19 @@ class RouteArrays:
 
     @classmethod
     def of(cls, route: Route, network: RoadNetwork) -> "RouteArrays":
-        segments = [network.segment(s) for s in route.segment_ids]
-        xy = np.array([network.landmark(n).xy for n in route.nodes])
+        """Gather the columns of the network's routing index along the
+        route's dense segment walk."""
+        index = network.routing_index()
+        seg_index_of = index.segment_index_of
+        walk = np.array([seg_index_of[s] for s in route.segment_ids], dtype=np.intp)
+        nodes = np.array([index.index_of[n] for n in route.nodes], dtype=np.intp)
         return cls(
             route=route,
             segment_ids=np.array(route.segment_ids, dtype=np.int32),
-            free_flow_time_s=np.array([s.free_flow_time_s for s in segments]),
-            speed_limit_mps=np.array([s.speed_limit_mps for s in segments]),
-            node_x=xy[:, 0].copy(),
-            node_y=xy[:, 1].copy(),
+            free_flow_time_s=index.costs["time"][walk],
+            speed_limit_mps=index.speed_mps[walk],
+            node_x=index.node_x[nodes],
+            node_y=index.node_y[nodes],
         )
 
 

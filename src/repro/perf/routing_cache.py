@@ -4,17 +4,16 @@ Every caller that routes on a network — the event kernel, the MobiRescue
 matcher, the hospital selector and the mobility generator — uses the
 network's one :class:`RoutingCache` (:func:`routing_cache`), which:
 
-* **searches on dense node indices** (:class:`~repro.roadnet.graph.RoutingIndex`,
-  numbered in sorted-id order, so ``(cost, node)`` heap ties pop as they do
-  on ids).  Rows keep the seed's order and relaxation keeps the strict
-  ``<``, so every label and tie-break equals
-  :func:`repro.roadnet.routing.dijkstra_tree`'s.  A closed set re-filters
-  only the rows of nodes that hold a closed segment
-  (:func:`filtered_adjacency`): dropping rows the seed loop skips leaves
-  its relax sequence unchanged;
+* **builds each tree with scipy's ``csgraph.dijkstra``** on the dense-index
+  CSR matrix of :class:`~repro.roadnet.graph.RoutingIndex` (landmarks and
+  segments numbered in sorted-id order), with a closed set's arcs at
+  ``inf``.  Its distances are the seed's; each node's prev segment is its
+  one tight in-arc, or where several tie, the seed's choice rebuilt
+  exactly (:func:`_labels`), so every label and tie-break equals
+  :func:`repro.roadnet.routing.dijkstra_tree`'s;
 * **stores full trees compactly** — a float64 ``dist`` and an int32
-  prev-segment array (:class:`Tree`) — in one LRU with filtered rows and
-  hospital fields, bounded by one byte budget;
+  prev-segment array (:class:`Tree`) — in one LRU with the per-closed-set
+  matrices, filtered rows and hospital fields, bounded by one byte budget;
 * **shares them across simulations**: keys carry the ``closed`` frozenset,
   so equal closed sets hit the same entries and a moved flood front ages
   out of the LRU.
@@ -47,7 +46,11 @@ from collections import OrderedDict
 from collections.abc import Iterator, Mapping, Sequence
 from typing import cast
 
-from repro.roadnet.graph import IndexRow, RoadNetwork, RoutingIndex
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+
+from repro.roadnet.graph import Arcs, IndexRow, RoadNetwork, RoutingIndex
 from repro.roadnet.routing import (
     Route,
     route_to_segment,
@@ -60,7 +63,7 @@ _WEIGHTS = ("time", "length")
 _INF = float("inf")
 _EMPTY: frozenset[int] = frozenset()
 
-#: Default byte budget of one network's cache: room for about 4,300 full
+#: Default byte budget of one network's cache: room for about 5,700 full
 #: trees of the 484-landmark Charlotte network.
 DEFAULT_MAX_BYTES = 32 * 1024 * 1024
 
@@ -71,7 +74,8 @@ _MAX_CLOSURES = 1024
 #: Per-node dense-index rows: ``rows[i] = [(segment, other node, cost), ...]``.
 Rows = list[list[IndexRow]]
 
-#: LRU keys: ``(kind, closed, ...)`` for kinds "rows", "tree" and "field".
+#: LRU keys: ``(kind, closed, ...)`` for kinds "graph", "rows", "tree" and
+#: "field".
 _Key = tuple[object, ...]
 
 
@@ -81,10 +85,10 @@ def filtered_adjacency(
     reverse: bool = False,
     weight: str = "time",
 ) -> Rows:
-    """The network's index rows with closed segments dropped, row order kept.
-    Only nodes that hold a closed segment get a new row list; the others
-    share the base rows, which are returned as they are when nothing is
-    closed."""
+    """The network's index rows with closed segments dropped, row order kept
+    (the hospital field's search runs on them).  Only nodes that hold a
+    closed segment get a new row list; the others share the base rows, which
+    are returned as they are when nothing is closed."""
     if weight not in _WEIGHTS:
         raise ValueError(f"weight must be one of {_WEIGHTS}")
     index = network.routing_index()
@@ -100,33 +104,33 @@ def filtered_adjacency(
     return rows
 
 
-def _search(rows: Rows, root: int) -> tuple[list[float], list[int], list[int]]:
-    """The seed ``dijkstra_tree`` loop on dense indices: ``(dist, prev,
-    order)`` with ``inf`` / -1 for unreached nodes, ``prev`` as segment
-    indices and ``order`` the reached nodes in the order the seed's ``dist``
-    dict gains them.  Pushes per node strictly decrease, so an entry is
-    stale exactly when its cost exceeds the label: the seed's ``done`` set.
+def _labels(arcs: Arcs, graph: csr_matrix, root: int) -> tuple[array[float], array[int]]:
+    """The seed ``dijkstra_tree``'s labels of dense ``root`` on ``graph`` (of
+    ``arcs``): ``(dist, prev)`` with ``inf`` / -1 for unreached nodes and
+    ``prev`` as segment indices.
+
+    csgraph's distances are the seed's: each is the least of its head's
+    in-arc sums, whatever order the arcs are relaxed in.  A node's ``prev``
+    is an arc that attains its label (a tight arc); the seed keeps the first
+    tight arc it relaxes, so where a head has several, the one whose tail
+    settles first in ``(dist, index)`` order wins (no two arcs of one tail
+    share a head: the network has no parallel segments).
     """
-    inf = _INF
-    dist = [inf] * len(rows)
-    prev = [-1] * len(rows)
-    dist[root] = 0.0
-    order = [root]
-    heap = [(0.0, root)]
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        d, node = pop(heap)
-        if d > dist[node]:
-            continue
-        for k, other, w in rows[node]:
-            nd = d + w
-            if nd < dist[other]:
-                if dist[other] == inf:
-                    order.append(other)
-                dist[other] = nd
-                prev[other] = k
-                push(heap, (nd, other))
-    return dist, prev, order
+    dist = dijkstra(graph, indices=root)
+    tail, head = arcs.tail, arcs.head
+    reach = dist[head]
+    # An unreached head has no tight arc although ``inf + w == inf``.
+    tight = np.flatnonzero((dist[tail] + graph.data == reach) & (reach != _INF))
+    heads = head[tight]
+    prev = np.full(len(dist), -1, dtype=np.int32)
+    if len(tight) < np.count_nonzero(dist != _INF):
+        prev[heads] = arcs.seg[tight]
+    else:
+        tails = tail[tight]
+        by_settle = np.lexsort((tails, dist[tails], heads))
+        heads, first = np.unique(heads[by_settle], return_index=True)
+        prev[heads] = arcs.seg[tight[by_settle[first]]]
+    return array("d", dist.tobytes()), array("i", prev.tobytes())
 
 
 def _route(index: RoutingIndex, src: int, walk: list[int]) -> Route:
@@ -162,25 +166,32 @@ def _chain(links: Sequence[int], ends: list[int], start: int, stop: int) -> list
 class Tree(Mapping[int, float]):
     """One stored full Dijkstra tree, read as ``landmark -> cost``.
 
-    Unreached landmarks are absent, and iteration follows ``order``, the
-    order in which the seed's ``dist`` dict gains its keys, so the mapping
-    equals that dict entry for entry and in order.
+    Unreached landmarks are absent, and iteration follows the order in which
+    the seed's ``dist`` dict gains its keys, so the mapping equals that dict
+    entry for entry and in order.  The tree stores only ``dist`` and
+    ``prev``; the order is rebuilt on each iteration, which no production
+    caller does.
     """
 
-    __slots__ = ("dist", "prev", "order", "_index")
+    __slots__ = ("dist", "prev", "_index", "_closed", "_reverse")
 
     def __init__(
-        self, index: RoutingIndex, dist: list[float], prev: list[int], order: list[int]
+        self,
+        index: RoutingIndex,
+        closed: frozenset[int],
+        reverse: bool,
+        dist: array[float],
+        prev: array[int],
     ) -> None:
         self._index = index
-        self.dist = array("d", dist)
-        self.prev = array("i", prev)
-        self.order = array("i", order)
+        self._closed = closed
+        self._reverse = reverse
+        self.dist = dist
+        self.prev = prev
 
     @property
     def nbytes(self) -> int:
-        dist, prev, order = self.dist, self.prev, self.order
-        return memoryview(dist).nbytes + memoryview(prev).nbytes + memoryview(order).nbytes
+        return memoryview(self.dist).nbytes + memoryview(self.prev).nbytes
 
     def __getitem__(self, node: int) -> float:
         d = self.dist[self._index.index_of[node]]
@@ -198,11 +209,24 @@ class Tree(Mapping[int, float]):
         return default if d == _INF else d
 
     def __iter__(self) -> Iterator[int]:
-        ids = self._index.node_ids
-        return (ids[i] for i in self.order)
+        """The seed's discovery order: nodes settle in ``(dist, index)``
+        order, and each adds the unseen heads of its open rows, in row
+        order."""
+        index, closed = self._index, self._closed
+        ids, seg_ids = index.node_ids, index.segment_ids
+        rows = index.rows[(self._reverse, "time")]
+        seen = bytearray(len(ids))
+        for _, node in sorted((d, i) for i, d in enumerate(self.dist) if d != _INF):
+            if not seen[node]:  # the root
+                seen[node] = 1
+                yield ids[node]
+            for k, other, _ in rows[node]:
+                if not seen[other] and seg_ids[k] not in closed:
+                    seen[other] = 1
+                    yield ids[other]
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.dist) - self.dist.count(_INF)
 
 
 class HospitalField:
@@ -323,9 +347,10 @@ class DirectRouter:
 class RoutingCache:
     """The routing engine of one road network (see module docstring).
 
-    ``max_bytes`` bounds the stored trees, filtered rows and hospital
-    fields together; the least recently used entry is evicted first.
-    ``stored_bytes`` counts their array and row-list bytes.
+    ``max_bytes`` bounds the stored trees, per-closed-set matrices, filtered
+    rows and hospital fields together; the least recently used entry is
+    evicted first.  ``stored_bytes`` counts their array and row-list bytes
+    (a matrix counts its own cost array; it shares the index arrays).
     """
 
     def __init__(self, network: RoadNetwork, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
@@ -398,6 +423,23 @@ class RoutingCache:
         self._put(key, rows, nbytes)
         return rows
 
+    def _graph(self, closed: frozenset[int], reverse: bool, weight: str) -> csr_matrix:
+        """The ``weight`` matrix of direction ``reverse`` with ``closed``'s
+        arcs at ``inf``."""
+        if weight not in _WEIGHTS:
+            raise ValueError(f"weight must be one of {_WEIGHTS}")
+        arcs = self.index.arcs[reverse]
+        if not closed:
+            return arcs.graphs[weight]
+        key = ("graph", closed, reverse, weight)
+        cached = self._get(key)
+        if cached is not None:
+            return cast(csr_matrix, cached)
+        seg_index_of = self.index.segment_index_of
+        graph = arcs.masked(weight, [seg_index_of[s] for s in closed if s in seg_index_of])
+        self._put(key, graph, graph.data.nbytes)
+        return graph
+
     def _node(self, node: int) -> int:
         try:
             return self.index.index_of[node]
@@ -412,8 +454,8 @@ class RoutingCache:
             self.hits += 1
             return cast(Tree, cached)
         self.misses += 1
-        rows = self._rows(closed, reverse, weight)
-        built = Tree(self.index, *_search(rows, root))
+        graph = self._graph(closed, reverse, weight)
+        built = Tree(self.index, closed, reverse, *_labels(self.index.arcs[reverse], graph, root))
         self._put(key, built, built.nbytes)
         return built
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import TypeVar, cast
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 _E = TypeVar("_E")
@@ -277,6 +278,42 @@ class RoadNetwork:
 IndexRow = tuple[int, int, float]
 
 
+class Arcs:
+    """One direction's index rows flattened in row order, as CSR arrays.
+
+    Arc ``p`` is segment ``seg[p]`` from ``tail[p]`` to ``head[p]`` (the
+    segment's ``v`` to its ``u`` in the reverse direction), and
+    ``graphs[weight]`` is the scipy matrix of the arcs' costs that the
+    shortest-path kernel runs on.
+    """
+
+    __slots__ = ("tail", "head", "seg", "graphs", "_arc_of")
+
+    def __init__(self, rows: list[list[IndexRow]], costs: dict[str, np.ndarray]) -> None:
+        n = len(rows)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        self.seg = np.array([k for row in rows for k, _, _ in row], dtype=np.int32)
+        self.head = np.array([o for row in rows for _, o, _ in row], dtype=np.int32)
+        self.tail = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+        #: Segment index -> its arc.
+        self._arc_of = np.empty(len(self.seg), dtype=np.intp)
+        self._arc_of[self.seg] = np.arange(len(self.seg))
+        self.graphs = {
+            weight: csr_matrix((cost[self.seg], self.head, indptr), shape=(n, n))
+            for weight, cost in costs.items()
+        }
+
+    def masked(self, weight: str, dead: list[int]) -> csr_matrix:
+        """``graphs[weight]`` with the arcs of the segment indices in
+        ``dead`` at ``inf``, which no search relaxes.  Only the cost array is
+        new; the index arrays are shared."""
+        base = self.graphs[weight]
+        data = base.data.copy()
+        data[self._arc_of[dead]] = np.inf
+        return csr_matrix((data, base.indices, base.indptr), shape=base.shape)
+
+
 class RoutingIndex:
     """Dense-index adjacency of a :class:`RoadNetwork`.
 
@@ -287,11 +324,15 @@ class RoutingIndex:
     :meth:`RoadNetwork.out_segments` (``in_segments`` when ``reverse``): the
     segment's index, the index of its other end, and its ``weight``
     (``"time"``: free-flow seconds, ``"length"``: metres) as the cost.
+    ``arcs[reverse]`` holds the same rows as CSR arrays (:class:`Arcs`), and
+    ``costs``, ``speed_mps``, ``node_x`` and ``node_y`` are numpy columns
+    for gathers along a whole walk.
     """
 
     __slots__ = (
         "node_ids", "index_of", "segment_ids", "segment_index_of",
         "seg_u", "seg_v", "seg_time_s", "seg_length_m", "rows",
+        "costs", "speed_mps", "node_x", "node_y", "arcs",
     )
 
     def __init__(self, network: RoadNetwork) -> None:
@@ -305,7 +346,16 @@ class RoutingIndex:
         self.seg_v = [index_of[s.v] for s in segs]
         self.seg_time_s = [s.free_flow_time_s for s in segs]
         self.seg_length_m = [s.length_m for s in segs]
+        self.costs = {
+            "time": np.array(self.seg_time_s, dtype=np.float64),
+            "length": np.array(self.seg_length_m, dtype=np.float64),
+        }
+        self.speed_mps = np.array([s.speed_limit_mps for s in segs], dtype=np.float64)
+        landmarks = [network.landmark(node) for node in self.node_ids]
+        self.node_x = np.array([lm.x for lm in landmarks], dtype=np.float64)
+        self.node_y = np.array([lm.y for lm in landmarks], dtype=np.float64)
         self.rows: dict[tuple[bool, str], list[list[IndexRow]]] = {}
+        self.arcs: dict[bool, Arcs] = {}
         for reverse, adjacent, ends in (
             (False, network.out_segments, self.seg_v),
             (True, network.in_segments, self.seg_u),
@@ -315,6 +365,7 @@ class RoutingIndex:
                 self.rows[(reverse, weight)] = [
                     [(k, ends[k], cost[k]) for k in ks] for ks in per_node
                 ]
+            self.arcs[reverse] = Arcs(self.rows[(reverse, "time")], self.costs)
 
 
 @dataclass

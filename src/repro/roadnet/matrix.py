@@ -12,7 +12,6 @@ flood-unaware baselines) ignores closures.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 
 from repro.roadnet.graph import RoadNetwork
@@ -25,14 +24,14 @@ class TravelTimeOracle:
         self.network = network
         index = network.routing_index()
         self._index = index.index_of
-        n = len(index.node_ids)
-        graph = csr_matrix((index.seg_time_s, (index.seg_u, index.seg_v)), shape=(n, n))
+        # The base matrix the routing engine masks per closed set.
+        graph = index.arcs[False].graphs["time"]
         self._times = sparse_dijkstra(graph, directed=True).astype(np.float32)
         # Segment-end lookup: travel time to the end of segment e is time to
         # e.u plus e's own traversal time.
         self._seg_index = index.segment_index_of
         self._seg_u = np.array(index.seg_u)
-        self._seg_time = np.array(index.seg_time_s, dtype=np.float32)
+        self._seg_time = index.costs["time"].astype(np.float32)
 
     def node_to_node_s(self, src: int, dst: int) -> float:
         """Free-flow travel time between two landmarks, seconds."""

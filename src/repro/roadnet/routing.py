@@ -9,9 +9,9 @@ the driving-delay metric sums, or segment lengths (``weight='length'``).
 All public entry points (:func:`shortest_path`, :func:`shortest_time_from`,
 :func:`shortest_time_to`, :func:`route_to_segment`) share one internal
 Dijkstra, :func:`dijkstra_tree`: the seed loop, on landmark ids with a
-per-row closed test, that the routing engine in ``repro.perf.routing_cache``
-replays on dense indices, and the reference its results are checked
-against bit for bit.
+per-row closed test, whose labels and tie-breaks the routing engine in
+``repro.perf.routing_cache`` rebuilds from scipy's csgraph, and the
+reference its results are checked against bit for bit.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from repro.perf.routing_cache import (
     filtered_adjacency,
     routing_cache,
 )
+from repro.roadnet.graph import Landmark, RoadNetwork, RoadSegment
 from repro.roadnet.routing import (
     dijkstra_tree,
     route_to_segment,
@@ -121,6 +122,100 @@ class TestRandomizedEquivalence:
         # src == dst stays trivially routable even with everything closed.
         trivial = cache.route(src, src, closed=closed)
         assert trivial is not None and trivial.is_trivial
+
+
+def _uniform_grid(k):
+    """A ``k`` x ``k`` grid of two-way 100 m streets at 10 m/s, where nearly
+    every node is reached by several equal-cost paths.  Landmark ids step by
+    three and segment ids are a shuffled range, so neither equals its dense
+    index nor its row position."""
+    net = RoadNetwork()
+    for i in range(k * k):
+        net.add_landmark(Landmark(3 * i, float(i % k) * 100.0, float(i // k) * 100.0))
+    ends = []
+    for i in range(k * k):
+        r, c = divmod(i, k)
+        for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0)):
+            if 0 <= r + dr < k and 0 <= c + dc < k:
+                ends.append((3 * i, 3 * ((r + dr) * k + c + dc)))
+    seg_ids = np.random.default_rng(52).permutation(len(ends))
+    for sid, (u, v) in zip(seg_ids, ends):
+        net.add_segment(RoadSegment(int(sid), u, v, 100.0, 10.0, 0))
+    return net.freeze()
+
+
+def _tied_heads(net, dist, closed, weight):
+    """Nodes of a forward seed tree with more than one open in-segment that
+    attains their label."""
+    cost = "length_m" if weight == "length" else "free_flow_time_s"
+    return sum(
+        sum(
+            dist.get(s.u, float("inf")) + getattr(s, cost) == d
+            for s in net.in_segments(node)
+            if s.segment_id not in closed
+        )
+        > 1
+        for node, d in dist.items()
+    )
+
+
+class TestTieHeavyEquivalence:
+    """Every tree of a tie-dense grid equals the seed's, label for label.
+
+    On a uniform grid almost every node has several tight in-arcs, so the
+    prev segment is decided by the seed's tie rule alone.  The closed sets
+    cut nodes off, and the corner cut keeps open arcs between unreached
+    nodes, whose sums are ``inf`` like the unreached labels.  Each tree is
+    checked before any route walks it.
+    """
+
+    K = 12
+
+    def test_every_tree_route_and_leg_matches_seed(self):
+        net = _uniform_grid(self.K)
+        nodes = net.landmark_ids()
+        seg_ids = np.array(net.segment_ids())
+        corner = {nodes[0], nodes[1], nodes[self.K], nodes[self.K + 1]}
+        # Every arc into the 2 x 2 corner: the block's own arcs stay open,
+        # between nodes no outside root reaches.
+        cut = frozenset(
+            s.segment_id for s in net.segments() if s.v in corner and s.u not in corner
+        )
+        rng = np.random.default_rng(53)
+        closures = [frozenset(), cut] + [_random_closed(rng, seg_ids, f) for f in (0.1, 0.3)]
+        cache = RoutingCache(net)
+        direct = DirectRouter(net)
+        unreached = ties = 0
+        for closed in closures:
+            for weight in ("time", "length"):
+                for reverse in (False, True):
+                    for root in nodes:
+                        dist, prev = dijkstra_tree(net, root, closed, weight, reverse=reverse)
+                        tree = (cache.time_to if reverse else cache.time_from)(
+                            root, closed, weight
+                        )
+                        got = {
+                            nodes[i]: int(seg_ids[k]) for i, k in enumerate(tree.prev) if k >= 0
+                        }
+                        assert got == prev, (root, weight, reverse)
+                        assert list(tree.items()) == list(dist.items())
+                        assert len(tree) == len(dist)
+                        unreached += len(nodes) - len(dist)
+                        if reverse:
+                            continue
+                        ties += _tied_heads(net, dist, closed, weight)
+                        for dst in rng.choice(nodes, size=3):
+                            dst = int(dst)
+                            assert cache.route(root, dst, closed, weight) == direct.route(
+                                root, dst, closed, weight
+                            )
+                        for seg in rng.choice(seg_ids, size=2):
+                            seg = int(seg)
+                            assert cache.route_to_segment(
+                                root, seg, closed, weight
+                            ) == direct.route_to_segment(root, seg, closed, weight)
+        assert unreached > 0, "the closed sets must cut nodes off"
+        assert ties > 0, "the grid must tie"
 
 
 class TestCacheMechanics:
