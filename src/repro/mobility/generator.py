@@ -37,7 +37,13 @@ from repro.hospitals.hospitals import Hospital
 from repro.mobility.person import Person
 from repro.mobility.routes import RouteArrays, RouteCache
 from repro.mobility.trace import GpsTrace, RescueRecord, TraversalLog
-from repro.mobility.trips import PlannedTrip, TripModel, TripModelConfig
+from repro.mobility.trips import (
+    NodeSeverityFn,
+    PlannedTrip,
+    TripModel,
+    TripModelConfig,
+    uniform,
+)
 from repro.roadnet.graph import RoadNetwork
 from repro.weather.fields import RegionWeatherField
 from repro.weather.storms import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -126,96 +132,205 @@ class TraceBundle:
         return [r for r in self.rescues if t0 <= r.request_time_s < t1]
 
 
-#: Fix rows per assembly block.  Bounds the (rows, regions, 2) temporary of
-#: :meth:`TerrainField.altitude_many` and the float64 chunks held before
-#: they are cast, at any population size.
+#: Fix rows per sealed block.  Bounds the (rows, regions, 2) temporary of
+#: :meth:`TerrainField.altitude_many` and the float64 work arrays of a
+#: seal, at any population size.  Read when :class:`_Buffers` is built.
 BLOCK_ROWS = 16_384
+
+#: Speed-noise standard deviations of stay and drive fixes, m/s.
+STAY_SPEED_SIGMA = 0.3
+DRIVE_SPEED_SIGMA = 0.5
+
+#: Fields of a recorded stay and of a recorded drive.
+_STAY, _DRIVE = 7, 9
+
+
+def _spans(row0: np.ndarray, n: np.ndarray):
+    """Expand records of ``n`` rows each, starting at block row ``row0``:
+    each row's record, its index inside the record, the record's offset
+    in the concatenation of all records' rows, and its block row."""
+    first = np.cumsum(n) - n
+    owner = np.repeat(np.arange(n.size), n)
+    local = np.arange(int(n.sum())) - first[owner]
+    return owner, local, first[owner], row0[owner] + local
+
+
+def _fix_times(t0: np.ndarray, step: np.ndarray, owner, local) -> np.ndarray:
+    """Every record's ``np.arange(t0, t1, step)``: numpy fills element
+    ``i`` as ``t0 + i * ((t0 + step) - t0)``."""
+    return t0[owner] + local * ((t0 + step) - t0)[owner]
 
 
 class _Buffers:
-    """Column accumulators for fixes and traversals.
+    """Deferred fix emission.
 
-    Fix chunks are kept as drawn (float64) until a block of about
-    ``block_rows`` rows has gathered.  The block is then sealed: the
-    altitude of its move chunks, a function of their float64 coordinates
-    only, is computed in one :meth:`TerrainField.altitude_many` call, and
-    each column is cast and concatenated once.
+    The per-person loop only *records* each stay and drive: its first fix
+    time, fix step and count, its one merged noise draw, and the anchor
+    it stays at or the route and segment times it drives.  Once about
+    ``BLOCK_ROWS`` rows are recorded the block is sealed, and all of it is
+    computed at once: fix times, drive node times and traversals, stay
+    positions, drive interpolation (one segmented ``searchsorted`` done
+    as a ``lexsort``), speeds, move-fix altitude in one
+    :meth:`TerrainField.altitude_many` call, and the dtype casts.  Each
+    step reproduces, per element, the numpy call of the per-fix
+    formulation (see ``docs/PERFORMANCE.md``, "Trace generation").
     """
 
-    def __init__(self, terrain: TerrainField, block_rows: int = BLOCK_ROWS) -> None:
+    def __init__(self, terrain: TerrainField, config: TraceConfig) -> None:
         self.terrain = terrain
-        self.block_rows = block_rows
+        self.block_rows = BLOCK_ROWS
+        self.gps_sigma = config.gps_noise_sigma_m
+        self.alt_sigma = config.altitude_noise_sigma_m
         self._blocks: list[GpsTrace] = []
         self._start_block()
         self.trav_t: list[np.ndarray] = []
         self.trav_seg: list[np.ndarray] = []
 
     def _start_block(self) -> None:
-        self._pid: list[int] = []
-        self._n: list[int] = []
-        self._t: list[np.ndarray] = []
-        self._x: list[np.ndarray] = []
-        self._y: list[np.ndarray] = []
-        self._alt: list[np.ndarray | None] = []
-        self._speed: list[np.ndarray] = []
+        # Records are flattened into one list per kind, ``_STAY`` or
+        # ``_DRIVE`` fields each: a tuple per record would be one more
+        # object for the garbage collector to track until the seal.
+        self._stays: list = []
+        self._drives: list = []
         self._rows = 0
 
-    def add_fixes(self, pid, t, x, y, speed, alt=None) -> None:
-        """Append one chunk; ``alt=None`` defers its altitude to the terrain."""
-        self._pid.append(pid)
-        self._n.append(len(t))
-        self._t.append(t)
-        self._x.append(x)
-        self._y.append(y)
-        self._speed.append(speed)
-        self._alt.append(alt)
-        self._rows += len(t)
+    def add_stay(self, pid, t0, step, n, anchor, z) -> None:
+        """Record ``n`` fixes at ``anchor`` = (x, y, altitude); ``z`` is the
+        stay's ``standard_normal(4 * n)``: x, y, altitude, speed noise."""
+        self._stays.extend((pid, self._rows, t0, step, n, anchor, z))
+        self._rows += n
+        if self._rows >= self.block_rows:
+            self._seal_block()
+
+    def add_drive(self, pid, t0, step, n, mult, seg_times, route, z) -> None:
+        """Record a drive along ``route`` from ``t0``, taking ``seg_times``
+        per segment at speed multiplier ``mult``; ``z`` is its
+        ``standard_normal(3 * n)``: x, y, speed noise.  A drive with no
+        fix (``n == 0``) is still recorded for its traversals."""
+        self._drives.extend((pid, self._rows, t0, step, n, mult, seg_times, route, z))
+        self._rows += n
         if self._rows >= self.block_rows:
             self._seal_block()
 
     def _seal_block(self) -> None:
-        if not self._rows:
+        if not (self._stays or self._drives):
             return
-        moves = [i for i, a in enumerate(self._alt) if a is None]
-        if moves:
-            xy = np.column_stack(
-                [
-                    np.concatenate([self._x[i] for i in moves]),
-                    np.concatenate([self._y[i] for i in moves]),
-                ]
-            )
-            alt = self.terrain.altitude_many(xy)
-            cuts = np.cumsum([self._n[i] for i in moves[:-1]])
-            for i, chunk in zip(moves, np.split(alt, cuts)):
-                self._alt[i] = chunk
-
-        def f32(chunks):
-            return np.concatenate(chunks, dtype=np.float32, casting="same_kind")
-
-        self._blocks.append(
-            GpsTrace(
-                np.repeat(np.array(self._pid, dtype=np.int32), self._n),
-                np.concatenate(self._t),
-                f32(self._x),
-                f32(self._y),
-                f32(self._alt),
-                f32(self._speed),
-            )
+        rows = self._rows
+        cols = GpsTrace(
+            np.empty(rows, np.int32),
+            np.empty(rows),
+            *(np.empty(rows, np.float32) for _ in range(4)),
         )
+        if self._stays:
+            self._seal_stays(cols)
+        if self._drives:
+            self._seal_drives(cols)
+        self._blocks.append(cols)
         self._start_block()
 
-    def add_traversals(self, t, seg) -> None:
-        self.trav_t.append(t)
-        self.trav_seg.append(seg)
+    def _seal_stays(self, cols: GpsTrace) -> None:
+        pid, row0, t0, step, n, anchor, z = (self._stays[i::_STAY] for i in range(_STAY))
+        n = np.array(n)
+        owner, local, first, at = _spans(np.array(row0), n)
+        cols.person_id[at] = np.array(pid)[owner]
+        cols.t[at] = _fix_times(np.array(t0), np.array(step), owner, local)
+        anchor = np.array(anchor)[owner]
+        z, iz, rn = np.concatenate(z), 4 * first + local, n[owner]
+        # ``rng.normal(0, s, n)`` is ``0.0 + s * z`` per element.
+        cols.x[at] = anchor[:, 0] + (0.0 + self.gps_sigma * z[iz])
+        cols.y[at] = anchor[:, 1] + (0.0 + self.gps_sigma * z[iz + rn])
+        cols.altitude[at] = anchor[:, 2] + (0.0 + self.alt_sigma * z[iz + 2 * rn])
+        cols.speed[at] = np.abs(0.0 + STAY_SPEED_SIGMA * z[iz + 3 * rn])
+
+    def _seal_drives(self, cols: GpsTrace) -> None:
+        pid, row0, t0, step, n, mult, seg_times, routes, z = (
+            self._drives[i::_DRIVE] for i in range(_DRIVE)
+        )
+        n, t0 = np.array(n), np.array(t0)
+        owner, local, first, at = _spans(np.array(row0), n)
+        cols.person_id[at] = np.array(pid)[owner]
+        ft = _fix_times(t0, np.array(step), owner, local)
+        cols.t[at] = ft
+
+        # Node times ``t0 + [0, cumsum(seg_times)]`` of every drive, as one
+        # row-wise cumsum over a zero-padded grid: an accumulation runs in
+        # the same order as the per-drive 1-D cumsum.  The traversal log
+        # takes each drive's node times but the last.
+        k = np.array([a.size for a in seg_times])
+        slot = np.arange(k.max() + 1)
+        grid = np.zeros((k.size, slot.size))
+        grid[:, 1:][slot[1:] <= k[:, None]] = np.concatenate(seg_times)
+        np.cumsum(grid, axis=1, out=grid)
+        grid += t0[:, None]
+        self.trav_t.append(grid[slot < k[:, None]])
+        self.trav_seg.append(np.concatenate([r.segment_ids for r in routes]))
+
+        # Segmented ``searchsorted(node_times, ft, "right") - 1``: sort the
+        # nodes and fixes of every drive by (drive, time), nodes first on
+        # ties; a fix's count of nodes sorted before it is then one past
+        # the global index of its node.
+        nt = grid[slot <= k[:, None]]
+        last = (np.cumsum(k + 1) - 1)[owner]
+        drive = np.concatenate([np.repeat(np.arange(k.size), k + 1), owner])
+        kind = np.concatenate([np.zeros(nt.size, bool), np.ones(ft.size, bool)])
+        order = np.lexsort((kind, np.concatenate([nt, ft]), drive))
+        is_fix = kind[order]
+        j = np.empty(ft.size, np.intp)
+        j[order[is_fix] - nt.size] = np.cumsum(~is_fix)[is_fix] - 1
+
+        # ``np.interp``: the node's value on an exact hit or at or past the
+        # last node, else ``slope * (x - xp[j]) + fp[j]``.
+        inner = np.flatnonzero((j < last) & (nt[j] != ft))
+        ji = j[inner]
+        dt, span = ft[inner] - nt[ji], nt[ji + 1] - nt[ji]
+
+        def interp(fp: np.ndarray) -> np.ndarray:
+            v = fp[j]
+            v[inner] = (fp[ji + 1] - fp[ji]) / span * dt + fp[ji]
+            return v
+
+        z = np.concatenate(z)
+        iz, rn = 3 * first + local, n[owner]
+        xy = np.column_stack(
+            [
+                interp(np.concatenate([r.node_x for r in routes]))
+                + (0.0 + self.gps_sigma * z[iz]),
+                interp(np.concatenate([r.node_y for r in routes]))
+                + (0.0 + self.gps_sigma * z[iz + rn]),
+            ]
+        )
+        cols.x[at] = xy[:, 0]
+        cols.y[at] = xy[:, 1]
+        cols.altitude[at] = self.terrain.altitude_many(xy)
+
+        # Fixes past the cumsum's end keep the last segment.
+        limit = np.concatenate([r.speed_limit_mps for r in routes])
+        seg = np.minimum(j, last - 1) - owner
+        speed = limit[seg] * np.array(mult)[owner] + (0.0 + DRIVE_SPEED_SIGMA * z[iz + 2 * rn])
+        cols.speed[at] = np.abs(speed, out=speed)
 
     def trace(self) -> GpsTrace:
         self._seal_block()
         return GpsTrace.concatenate(self._blocks)
 
     def traversals(self) -> TraversalLog:
+        self._seal_block()
         if not self.trav_t:
             return TraversalLog.empty()
         return TraversalLog(np.concatenate(self.trav_t), np.concatenate(self.trav_seg))
+
+
+def _hourly_lookup(rows: dict[int, list[float]], hours: int) -> NodeSeverityFn:
+    """``severity(node, t)`` from each landmark's hourly row.  A closure
+    rather than a bound method: the trip model would otherwise hold its
+    generator in a reference cycle, and a dropped generator, route cache
+    and all, would stay in memory until a full garbage collection."""
+    last = hours - 1
+
+    def severity(node: int, t: float) -> float:
+        return rows[node][min(last, max(0, int(t // SECONDS_PER_HOUR)))]
+
+    return severity
 
 
 class MobilityTraceGenerator:
@@ -244,10 +359,12 @@ class MobilityTraceGenerator:
         self.config = config or TraceConfig()
         self.timeline = weather.timeline
         self.route_cache = RouteCache(network)
-        self.trip_model = TripModel(
-            self._node_severity, self.config.trip_model, self.timeline.intensity
-        )
         self._precompute_tables()
+        self.trip_model = TripModel(
+            _hourly_lookup(self._node_hourly_severity, self._hours),
+            self.config.trip_model,
+            self.timeline.intensity,
+        )
 
     # -- precomputed lookup tables ------------------------------------------
 
@@ -260,6 +377,11 @@ class MobilityTraceGenerator:
         self._node_index = {n: i for i, n in enumerate(node_ids)}
         self._node_xy = np.array([net.landmark(n).xy for n in node_ids])
         self._node_alt = self.terrain.altitude_many(self._node_xy)
+        #: (x, y, altitude) of each landmark, keyed by landmark id.
+        self._node_anchor = {
+            n: (x, y, a)
+            for n, (x, y), a in zip(node_ids, self._node_xy.tolist(), self._node_alt.tolist())
+        }
         self._node_region = self.partition.region_of_many(self._node_xy)
         self._node_segment = np.array(
             [net.nearest_segment(*net.landmark(n).xy) for n in node_ids]
@@ -295,9 +417,6 @@ class MobilityTraceGenerator:
     def _hour(self, t: float) -> int:
         return min(self._hours - 1, max(0, int(t // SECONDS_PER_HOUR)))
 
-    def _node_severity(self, node: int, t: float) -> float:
-        return self._node_hourly_severity[node][self._hour(t)]
-
     def node_factor_vector(self, node: int, t: float) -> tuple[float, float, float]:
         """Disaster-related factors (P, W, A) at a landmark and time."""
         i = self._node_index[node]
@@ -311,11 +430,15 @@ class MobilityTraceGenerator:
 
     # -- emission helpers ----------------------------------------------------
     #
-    # RNG contract: every random draw below is made in the order, and with
-    # the arguments, of the per-fix formulation (x noise, y noise, then
-    # altitude or speed noise, per stay or drive).  Work that draws nothing
-    # (segment timing, interpolation, move-fix altitude, dtype casts) may be
-    # hoisted or batched freely; draws may not be merged or reordered.
+    # RNG contract: every draw is made in the order of the per-fix
+    # formulation, and each stay or drive makes one merged draw:
+    # ``standard_normal(4n)`` for a stay (x, y, altitude, speed noise) or
+    # ``standard_normal(3n)`` for a drive (x, y, speed noise), which is
+    # the same stream as its 4 or 3 ``rng.normal(0, sigma, n)`` calls.
+    # ``n`` is computed as ``np.arange`` sizes its result.  Work that
+    # draws nothing and that no control flow reads (node and fix times,
+    # interpolation, move-fix altitude, dtype casts) is deferred to the
+    # block seal in :class:`_Buffers`.
 
     def _emit_stay(
         self,
@@ -329,17 +452,8 @@ class MobilityTraceGenerator:
     ) -> None:
         if t1 <= t0:
             return
-        ts = np.arange(t0, t1, interval_s)
-        n = ts.size
-        if n == 0:
-            return
-        i = self._node_index[node]
-        cfg = self.config
-        x = self._node_xy[i, 0] + rng.normal(0.0, cfg.gps_noise_sigma_m, n)
-        y = self._node_xy[i, 1] + rng.normal(0.0, cfg.gps_noise_sigma_m, n)
-        alt = self._node_alt[i] + rng.normal(0.0, cfg.altitude_noise_sigma_m, n)
-        speed = np.abs(rng.normal(0.0, 0.3, n))
-        out.add_fixes(pid, ts, x, y, speed, alt)
+        n = math.ceil((t1 - t0) / interval_s)
+        out.add_stay(pid, t0, interval_s, n, self._node_anchor[node], rng.standard_normal(4 * n))
 
     def _speed_multiplier(self, t: float) -> float:
         return 1.0 - self.config.storm_slowdown * self.timeline.flood_level(t)
@@ -355,30 +469,12 @@ class MobilityTraceGenerator:
         """Drive ``route`` starting at ``t0``; returns arrival time."""
         mult = max(0.2, self._speed_multiplier(t0))
         seg_times = route.free_flow_time_s / mult
-        k = seg_times.size
-        node_times = np.empty(k + 1)
-        node_times[0] = 0.0
-        seg_times.cumsum(out=node_times[1:])
-        node_times += t0
-        # A pairwise sum, which can differ from the sequential cumsum's end.
+        # A pairwise sum, which can differ from the sequential cumsum's end
+        # that the seal computes the node times from.
         arrival = t0 + float(seg_times.sum())
-        out.add_traversals(node_times[:-1], route.segment_ids)
-
-        cfg = self.config
-        ts = np.arange(t0, arrival, cfg.trip_fix_interval_s)
-        n = ts.size
-        if n:
-            x = np.interp(ts, node_times, route.node_x) + rng.normal(
-                0.0, cfg.gps_noise_sigma_m, n
-            )
-            y = np.interp(ts, node_times, route.node_y) + rng.normal(
-                0.0, cfg.gps_noise_sigma_m, n
-            )
-            # Fixes past the cumsum's end (see ``arrival``) keep the last segment.
-            idx = np.searchsorted(node_times, ts, side="right") - 1
-            np.minimum(idx, k - 1, out=idx)
-            speed = route.speed_limit_mps[idx] * mult + rng.normal(0.0, 0.5, n)
-            out.add_fixes(pid, ts, x, y, np.abs(speed, out=speed))
+        step = self.config.trip_fix_interval_s
+        n = math.ceil((arrival - t0) / step)
+        out.add_drive(pid, t0, step, n, mult, seg_times, route, rng.standard_normal(3 * n))
         return arrival
 
     # -- trapping ground truth -----------------------------------------------
@@ -409,7 +505,7 @@ class MobilityTraceGenerator:
             if self._node_depth[i, h] >= depth_tolerance_m:
                 if rng.random() >= self.config.trap_probability:
                     continue  # got out in time this hour; water keeps rising
-                trap = max(lo, h * SECONDS_PER_HOUR + rng.uniform(0.0, SECONDS_PER_HOUR))
+                trap = max(lo, h * SECONDS_PER_HOUR + uniform(rng, 0.0, SECONDS_PER_HOUR))
                 if trap < hi:
                     return trap
         return None
@@ -441,8 +537,8 @@ class MobilityTraceGenerator:
         """
         cfg = self.config
         pid = person.person_id
-        request_t = trap_t + rng.uniform(*cfg.request_delay_range_s)
-        delivery_target = request_t + rng.uniform(*cfg.delivery_delay_range_s)
+        request_t = trap_t + uniform(rng, *cfg.request_delay_range_s)
+        delivery_target = request_t + uniform(rng, *cfg.delivery_delay_range_s)
         hosp_node = self._nearest_hospital_node(node)
         ride = self.route_cache.arrays(node, hosp_node)
 
@@ -472,7 +568,7 @@ class MobilityTraceGenerator:
             )
         )
 
-        discharge = min(delivered + rng.uniform(*cfg.hospital_stay_range_s), end)
+        discharge = min(delivered + uniform(rng, *cfg.hospital_stay_range_s), end)
         self._emit_stay(pid, delivered, discharge, hosp_node, person.gps_interval_s, rng, out)
         if discharge >= end:
             return end
@@ -489,10 +585,10 @@ class MobilityTraceGenerator:
         trips = self.trip_model.plan_day(person, day, rng)
         cfg = self.config
         if rng.random() < cfg.normal_hospital_visit_prob:
-            depart = (day + rng.uniform(18.0, 22.0) / 24.0) * SECONDS_PER_DAY
+            depart = (day + uniform(rng, 18.0, 22.0) / 24.0) * SECONDS_PER_DAY
             hosp = self.hospitals[int(rng.integers(len(self.hospitals)))].node_id
             if hosp != person.home_node:
-                stay = rng.uniform(*cfg.normal_hospital_stay_range_s)
+                stay = uniform(rng, *cfg.normal_hospital_stay_range_s)
                 trips = trips + [
                     PlannedTrip(depart, person.home_node, hosp),
                     PlannedTrip(depart + stay, hosp, person.home_node),
@@ -511,7 +607,7 @@ class MobilityTraceGenerator:
         pid = person.person_id
         rescued = False
         end = self.timeline.duration_s
-        tolerance = rng.uniform(*self.config.depth_tolerance_range_m)
+        tolerance = uniform(rng, *self.config.depth_tolerance_range_m)
 
         for day in range(self.timeline.total_days):
             for trip in self._plan_day(person, day, rng):
@@ -543,7 +639,7 @@ class MobilityTraceGenerator:
 
     def generate(self, persons: list[Person]) -> TraceBundle:
         """Simulate all persons and assemble the raw dataset."""
-        out = _Buffers(self.terrain)
+        out = _Buffers(self.terrain, self.config)
         rescues: list[RescueRecord] = []
         for person in persons:
             self._simulate_person(person, out, rescues)

@@ -25,6 +25,13 @@ NodeSeverityFn = Callable[[int, float], float]
 StormIntensityFn = Callable[[float], float]
 
 
+def uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` for scalar bounds: the same stream and value
+    (numpy computes ``lo + (hi - lo) * next_double``) without the
+    argument handling of the general call."""
+    return lo + (hi - lo) * rng.random()
+
+
 @dataclass(frozen=True)
 class PlannedTrip:
     """One planned trip of a person's day: depart at ``depart_s`` (absolute
@@ -93,23 +100,25 @@ class TripModel:
 
         if rng.random() < cfg.commute_probability:
             m0, m1 = cfg.morning_window_h
-            depart = day0 + rng.uniform(m0, m1) * SECONDS_PER_HOUR
+            depart = day0 + uniform(rng, m0, m1) * SECONDS_PER_HOUR
             if self._survives(person, depart, rng) and person.work_node != cur:
                 trips.append(PlannedTrip(depart, cur, person.work_node))
                 cur = person.work_node
             e0, e1 = cfg.evening_window_h
-            depart = day0 + rng.uniform(e0, e1) * SECONDS_PER_HOUR
+            depart = day0 + uniform(rng, e0, e1) * SECONDS_PER_HOUR
             if cur != person.home_node and self._survives(person, depart, rng):
                 trips.append(PlannedTrip(depart, cur, person.home_node))
                 cur = person.home_node
 
         if person.poi_nodes and rng.random() < cfg.leisure_probability:
             l0, l1 = cfg.leisure_window_h
-            depart = day0 + rng.uniform(l0, l1) * SECONDS_PER_HOUR
-            poi = int(rng.choice(person.poi_nodes))
+            depart = day0 + uniform(rng, l0, l1) * SECONDS_PER_HOUR
+            # Same stream as ``rng.choice(pois)``, without the array round trip.
+            pois = person.poi_nodes
+            poi = pois[int(rng.integers(0, len(pois)))]
             if poi != cur and self._survives(person, depart, rng):
                 trips.append(PlannedTrip(depart, cur, poi))
-                back = depart + rng.uniform(1.0, 3.0) * SECONDS_PER_HOUR
+                back = depart + uniform(rng, 1.0, 3.0) * SECONDS_PER_HOUR
                 trips.append(PlannedTrip(back, poi, person.home_node))
 
         trips.sort(key=lambda tr: tr.depart_s)

@@ -292,23 +292,23 @@ def _bench_sentinel_overhead(quick: bool) -> dict[str, dict[str, float | int]]:
     # plain back-to-back timing cannot deliver on a noisy machine (CPU
     # frequency drift between the two blocks swamps the signal).  So the
     # two agents alternate single learn steps inside one loop: any drift
-    # hits both sides of the ratio equally.  The per-step clock reads
-    # cost ~100ns against a ~400us step.
+    # hits both sides of the ratio equally.  The order alternates step by
+    # step (off-on, on-off, ...), so neither side always runs second, in
+    # whatever cache and frequency state the other left.  The per-step
+    # clock reads cost ~100ns against a ~400us step.
     steps = 120 if quick else 300
     repeats = 6
-    off_agent, on_agent = make_agent(False), make_agent(True)
+    agents = {"off": make_agent(False), "on": make_agent(True)}
     best = {"off": float("inf"), "on": float("inf")}
     for _ in range(repeats):
-        total_off = total_on = 0.0
-        for _ in range(steps):
-            t0 = time.perf_counter()
-            off_agent.learn()
-            t1 = time.perf_counter()
-            on_agent.learn()
-            total_on += time.perf_counter() - t1
-            total_off += t1 - t0
-        best["off"] = min(best["off"], total_off)
-        best["on"] = min(best["on"], total_on)
+        total = {"off": 0.0, "on": 0.0}
+        for step in range(steps):
+            for side in ("off", "on") if step % 2 == 0 else ("on", "off"):
+                t0 = time.perf_counter()
+                agents[side].learn()
+                total[side] += time.perf_counter() - t0
+        best["off"] = min(best["off"], total["off"])
+        best["on"] = min(best["on"], total["on"])
     return {
         "training_step_sentinel_off": _record(best["off"], steps),
         "training_sentinel_overhead": _record(best["on"], steps),

@@ -9,8 +9,10 @@ import pytest
 
 from repro.data.charlotte import build_charlotte_scenario
 from repro.geo.flood import FloodModel
+from repro.mobility import generator
 from repro.mobility.generator import MobilityTraceGenerator, TraceConfig, _Buffers
 from repro.mobility.population import PopulationConfig, generate_population
+from repro.mobility.routes import RouteCache
 from repro.mobility.trace import GpsTrace, RescueRecord
 from repro.roadnet.generator import RoadNetworkConfig
 from repro.weather.storms import FLORENCE, MICHAEL, SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -61,6 +63,56 @@ PINNED_DIGESTS = {
 }
 
 
+#: The same digests for a non-default configuration (every noise sigma,
+#: the drive fix interval and the seed changed; zero altitude noise),
+#: recorded with the per-fix emission path before it was deferred.
+ALT_CONFIG = {
+    "gps_noise_sigma_m": 40.0,
+    "altitude_noise_sigma_m": 0.0,
+    "trip_fix_interval_s": 120.0,
+    "seed": 5,
+}
+PINNED_DIGESTS_ALT = {
+    "michael": {
+        "trace.person_id": "9bf03434a9e499d7e3f2bf8e60c3e11ec7ef9c413bcef1ab4bd71c5f95313875",
+        "trace.t": "ec2aca8e3c5a09e34ec787cefabb8be3f9671b5cff58bea582d3976b1541d575",
+        "trace.x": "f058d0676010ec31b4e852d70bf68c8b69ee532c5075aa80a917503b058e43e4",
+        "trace.y": "ae154879214f7c931409b7c5fa96f9401d1be89c7e0d063f9426be2aa54692b2",
+        "trace.altitude": "a986e6bf3efd3735a0eeff79c202be6ed602517d8fc7ad14309e785dfc172529",
+        "trace.speed": "2c7b6d74386c16a922c0f6a57e85663027dc824ccedf27343b6ee0e7502763fd",
+        "traversals.t": "f01041cd6fb566a19514448c40b0a206d764e9b8ac0259dde042807ede587f95",
+        "traversals.segment_id": "99626ec0b4bc39e5b548746a406b3cd121dc1bea59caac798224688fff9da3c8",
+        "rescues.person_id": "54d695954f136eb13d29a803554d56dda794927b8b49e627493e4e3abe207c77",
+        "rescues.trap_time_s": "23032abc10c25467340f3f88e52bcf9a838e7c36f04c295b2c3f6363854e23b0",
+        "rescues.request_time_s": "f7636ac493240c84902860ccc87a705faff7874323b228cb1659135e01cb95dd",
+        "rescues.trap_node": "38d3d18c0cd1a36f6b850a4715eb198dd59da6c90dcffbc30d67962eb6920b13",
+        "rescues.trap_segment": "fd686f0d23abe3841ea061a7b6182e243c7647c50bb1c40f7afddfd07f9b7e93",
+        "rescues.region_id": "55e573163da8b8168a3a512042d0f093d33d73d8a4ba1094238573547f28e394",
+        "rescues.factors": "efaad7583f8e14d3b10c5b89cffc4663b07145476497edd81dd154b95166f336",
+        "rescues.hospital_node": "c34b419986a10fb35fa63b458974c1d309fcd31c7195a33fc4edbec02bdf0ba1",
+        "rescues.delivery_time_s": "9f62e043c938b83b93da20787d652e3b923d99b838584ef8dfbc5aaac4107082",
+    },
+    "florence": {
+        "trace.person_id": "ee23d6193e0314d914866e01ebe4a2acf71600f282253d6db65a687215435c1b",
+        "trace.t": "a72e7917f09d7199c73a04431a15a04ae26c0cd4c39a4d441179eec0890dcece",
+        "trace.x": "78fd27a294def9b2da9be7a183ed1d7a8738200643574375e95a7da098c0c828",
+        "trace.y": "cbb88a666ccef9694c3c470f51d7d4b23da54c3f2f10c952d99214fc71f0085e",
+        "trace.altitude": "6f459260d353dac9cd702745d5cdea4c339ba901ac3f4f5c28176f53fa36d64f",
+        "trace.speed": "7e7fa5b99aae85c4062abf8ef13fa8c56b8b72f0efa19ac1ca21f74c66258ea7",
+        "traversals.t": "a39002a9a03d4ad8a5655bc0752e5ed89e2507c221bc04ec86f4fbc9983785dc",
+        "traversals.segment_id": "aa6b81dc9d8ae1d300a26631c812f08aaa132a3ec5bbd96f1eef5a2595a071f8",
+        "rescues.person_id": "952e789f48350730853c9daa1bc0a4e7c44d5d75892b7fc7bf9fb3c0223cd6c2",
+        "rescues.trap_time_s": "a62d0277b24b07efb878777ac5e3bca6787e2facce90ef2b8b144d3ddc9758c9",
+        "rescues.request_time_s": "733beea773ba0a1e936df74df86073d251520b9aedf3758cd99581db603de1aa",
+        "rescues.trap_node": "557cc99eaad4e1617a7f5d537fda394688d2f6b112164d30697b16c030ffde69",
+        "rescues.trap_segment": "a83a60ed5a862ad24c7316b10b9000c3f6198814aed46ab5504ee28851eaf29b",
+        "rescues.region_id": "909c961ce959d50a6c4bd707ce2736cdf4c90069c1914e36069f0aa45a85a063",
+        "rescues.factors": "fa9e8ad86a5d9d0e76d7485edb09d727e832c8910762248d68cc55b754c78947",
+        "rescues.hospital_node": "780fcfce161f16b4f2cd0097d943591d213188940c670c7167e56eeac158ae4d",
+        "rescues.delivery_time_s": "cb06fd03ceb462fa0707f073aede065baa8e75a6501cd1ef71f2b8bf2a4dd003",
+    },
+}
+
 def column_digests(bundle) -> dict[str, str]:
     cols = {f"trace.{c}": getattr(bundle.trace, c) for c in GpsTrace.COLUMNS}
     cols["traversals.t"] = bundle.traversals.t
@@ -110,14 +162,50 @@ def make_generator(scen, **config_kwargs):
     )
 
 
-@pytest.mark.parametrize("storm", [MICHAEL, FLORENCE], ids=lambda s: s.name.lower())
-def test_output_matches_pinned_digests(storm):
+STORMS = [MICHAEL, FLORENCE]
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs():
+    """The pinned builds' city and 200 people, per storm name."""
+    out = {}
+    for storm in STORMS:
+        city = small_city(storm)
+        out[storm.name.lower()] = (city, people(city, 200))
+    return out
+
+
+@pytest.mark.parametrize("storm", STORMS, ids=lambda s: s.name.lower())
+def test_output_matches_pinned_digests(storm, pinned_inputs):
     """Bit-identity proof of the generator: every column and record field
     hashes to the value pinned before its emission path was batched."""
-    city = small_city(storm)
-    bundle = make_generator(city).generate(people(city, 200))
+    city, persons = pinned_inputs[storm.name.lower()]
+    bundle = make_generator(city).generate(persons)
     assert bundle.rescues, "the pinned build must exercise the rescue path"
     assert column_digests(bundle) == PINNED_DIGESTS[storm.name.lower()]
+
+
+#: (pin, block rows) of every other build: both pins at 64, 1,000 and
+#: the default rows per block.
+BLOCK_CASES = [
+    (pin, rows)
+    for pin in ("default", "alt")
+    for rows in (64, 1_000, generator.BLOCK_ROWS)
+    if (pin, rows) != ("default", generator.BLOCK_ROWS)
+]
+
+
+@pytest.mark.parametrize(("pin", "block_rows"), BLOCK_CASES, ids=lambda v: str(v))
+@pytest.mark.parametrize("storm", STORMS, ids=lambda s: s.name.lower())
+def test_pins_hold_at_every_block_size(storm, pin, block_rows, pinned_inputs, monkeypatch):
+    """Both pins hold whatever the seal's block size: where a block ends
+    changes no fix, and a non-default configuration reaches the seal."""
+    monkeypatch.setattr(generator, "BLOCK_ROWS", block_rows)
+    city, persons = pinned_inputs[storm.name.lower()]
+    config, pinned = {"default": ({}, PINNED_DIGESTS), "alt": (ALT_CONFIG, PINNED_DIGESTS_ALT)}[pin]
+    bundle = make_generator(city, **config).generate(persons)
+    assert bundle.rescues
+    assert column_digests(bundle) == pinned[storm.name.lower()]
 
 
 class TestPrecomputedTables:
@@ -141,7 +229,7 @@ class TestPrecomputedTables:
             # Bit-for-bit: compare the raw float64 patterns, not values.
             np.testing.assert_array_equal(table.view(np.int64), expected.view(np.int64))
 
-    def test_block_batched_altitude_equals_per_move_calls(self, scen):
+    def test_block_batched_altitude_equals_per_move_calls(self, scen, monkeypatch):
         """Move-fix altitude computed a block of moves at a time equals one
         ``altitude_many`` call per move, bit-for-bit."""
         rng = np.random.default_rng(5)
@@ -153,20 +241,41 @@ class TestPrecomputedTables:
         per_move = np.concatenate([scen.terrain.altitude_many(xy) for xy in moves])
         np.testing.assert_array_equal(blocked.view(np.int64), per_move.view(np.int64))
 
-        # The buffers route each move's share of a block back to its rows,
-        # across stays interleaved with moves and several sealed blocks.
-        out = _Buffers(scen.terrain, block_rows=64)
+        # The seal routes each drive's share of a block's altitude back to
+        # its rows, across stays interleaved with drives and several sealed
+        # blocks: each drive's rows get the altitude of its own fixes.
+        monkeypatch.setattr(generator, "BLOCK_ROWS", 64)
+        cfg = TraceConfig()
+        out = _Buffers(scen.terrain, cfg)
+        cache, nodes = RouteCache(scen.network), scen.network.landmark_ids()
+        step = cfg.trip_fix_interval_s
         expected_alt, expected_pid = [], []
-        for pid, xy in enumerate(moves):
-            n, ts, still = len(xy), np.arange(len(xy), dtype=float), np.zeros(len(xy))
+        pid = 0
+        while pid < 25:
+            route = cache.arrays(*(int(v) for v in rng.choice(nodes, 2, replace=False)))
+            if route is None:
+                continue
+            n, t0 = int(rng.integers(1, 40)), float(rng.uniform(0.0, 1e5))
             if pid % 3 == 0:
-                stay_alt = rng.normal(200.0, 5.0, n)
-                out.add_fixes(pid, ts, xy[:, 0], xy[:, 1], still, stay_alt)
-                expected_alt.append(stay_alt)
+                anchor, z = (100.0, 200.0, 150.0), rng.standard_normal(4 * n)
+                out.add_stay(pid, t0, 600.0, n, anchor, z)
+                expected_alt.append(anchor[2] + (0.0 + cfg.altitude_noise_sigma_m * z[2 * n:3 * n]))
                 expected_pid += [pid] * n
-            out.add_fixes(pid, ts, xy[:, 0], xy[:, 1], still)
+            k = route.segment_ids.size
+            seg_times = rng.uniform(0.0, 2.0 * n * step / k, k)
+            node_times = t0 + np.concatenate([[0.0], np.cumsum(seg_times)])
+            z = rng.standard_normal(3 * n)
+            out.add_drive(pid, t0, step, n, 1.0, seg_times, route, z)
+            ts = np.arange(t0, t0 + n * step - step / 2, step)
+            xy = np.column_stack(
+                [
+                    np.interp(ts, node_times, route.node_x) + cfg.gps_noise_sigma_m * z[:n],
+                    np.interp(ts, node_times, route.node_y) + cfg.gps_noise_sigma_m * z[n:2 * n],
+                ]
+            )
             expected_alt.append(scen.terrain.altitude_many(xy))
             expected_pid += [pid] * n
+            pid += 1
         trace = out.trace()
         assert len(trace) > 3 * out.block_rows
         np.testing.assert_array_equal(
