@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import sys
+import weakref
 from array import array
 from collections import OrderedDict
 from collections.abc import Iterator, Mapping, Sequence
@@ -351,12 +352,17 @@ class RoutingCache:
     rows and hospital fields together; the least recently used entry is
     evicted first.  ``stored_bytes`` counts their array and row-list bytes
     (a matrix counts its own cost array; it shares the index arrays).
+
+    The network keeps its engine (:meth:`RoadNetwork.engine`), so the
+    engine keeps only a weak reference back: a dropped network and its
+    engine are freed by reference counting, without waiting for a cyclic
+    collection.
     """
 
     def __init__(self, network: RoadNetwork, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
         if max_bytes < 1:
             raise ValueError("the byte budget must be positive")
-        self.network = network
+        self._network = weakref.ref(network)
         self.index = network.routing_index()
         self.max_bytes = int(max_bytes)
         self.stored_bytes = 0
@@ -366,6 +372,13 @@ class RoutingCache:
         self._last_closed: tuple[object, frozenset[int]] = (_EMPTY, _EMPTY)
         self.hits = 0
         self.misses = 0
+
+    @property
+    def network(self) -> RoadNetwork:
+        network = self._network()
+        if network is None:
+            raise ReferenceError("the routing engine's network was dropped")
+        return network
 
     # -- store ----------------------------------------------------------------
 
@@ -510,13 +523,14 @@ class RoutingCache:
     ) -> Route | None:
         """The route to ``segment_id``'s head landmark and then along the
         segment, built in one pass (``None`` if closed or unreachable)."""
-        self.network.segment(segment_id)
+        index = self.index
+        k = index.segment_index_of.get(segment_id)
+        if k is None:
+            raise KeyError(f"unknown segment id {segment_id}")
         if segment_id in closed:
             return None
         if weight not in _WEIGHTS:
             raise ValueError(f"weight must be one of {_WEIGHTS}")
-        index = self.index
-        k = index.segment_index_of[segment_id]
         s, u = self._node(src), index.seg_u[k]
         walk = [] if s == u else self._path(s, u, closed, weight)
         if walk is None:

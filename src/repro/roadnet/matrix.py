@@ -18,10 +18,12 @@ from repro.roadnet.graph import RoadNetwork
 
 
 class TravelTimeOracle:
-    """Dense free-flow travel-time lookups between landmarks."""
+    """Dense free-flow travel-time lookups between landmarks.
+
+    Holds only arrays taken from the network's routing index, never the
+    network itself, which keeps the oracle among its engines."""
 
     def __init__(self, network: RoadNetwork) -> None:
-        self.network = network
         index = network.routing_index()
         self._index = index.index_of
         # The base matrix the routing engine masks per closed set.

@@ -5,8 +5,9 @@ fixed tick even when nothing happens.  This package replaces the inner
 loop with a hybrid event-driven scheduler — a heap of next-arrival /
 next-dispatch-cycle / next-request-activation / next-flood-front /
 next-breakdown-repair events with deterministic ``(time, kind, team_id)``
-tie-breaking — layered over numpy team-state columns, so only ticks where
-something can happen are executed and per-tick team scans are vectorized.
+tie-breaking — layered over per-field team-state columns, so only ticks
+where something can happen are executed, and each one reads and writes
+team fields in place.
 
 The kernel is **bit-identical** to the seed loop: events are quantized to
 the seed's tick grid and each processed tick runs the seed tick body, so

@@ -33,10 +33,10 @@ reference the equivalence suite compares against.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
+from itertools import accumulate
 from typing import TYPE_CHECKING, cast
-
-import numpy as np
 
 from repro.data.charlotte import CharlotteScenario
 from repro.dispatch.base import DispatchObservation, Dispatcher, TeamCommand, TeamView
@@ -47,7 +47,7 @@ from repro.sim.kernel.events import EventHeap, EventKind
 from repro.sim.kernel.routing import FloodClosureIndex
 from repro.sim.kernel.state import _NO_TARGET, RequestArray, TeamArray
 from repro.sim.requests import RescueRequest
-from repro.sim.teams import RescueTeam
+from repro.sim.teams import RescueTeam, TeamState
 
 if TYPE_CHECKING:  # the fault layer is optional; only the type is needed here
     from repro.faults.models import FaultInjector
@@ -82,8 +82,14 @@ class EventKernelSimulator(RescueSimulator):
         while t <= config.t1_s:
             times.append(t)
             t += config.step_s
-        self._tick_times = np.array(times, dtype=np.float64)
+        self._tick_times = times
         self._num_ticks = len(times)
+        index = self.network.routing_index()
+        #: Segment id -> free-flow traversal time (the seed's
+        #: ``RoadSegment.free_flow_time_s`` floats).
+        self._free_flow_s = dict(zip(index.segment_ids, index.seg_time_s))
+        #: ``(t, speed multiplier at t)`` of the last leg begun.
+        self._mult_at: tuple[float, float] = (float("nan"), 1.0)
         # Fault-closure boundaries: the closed set is piecewise constant
         # between window edges, so one cached frozenset serves the whole
         # interval (the "reschedule rather than poll" contract).
@@ -93,7 +99,7 @@ class EventKernelSimulator(RescueSimulator):
                 for w in windows:
                     bounds.add(w.start_s)
                     bounds.add(w.end_s)
-        self._closure_bounds = np.array(sorted(bounds), dtype=np.float64)
+        self._closure_bounds = sorted(bounds)
         self._fault_closed_span: tuple[float, float, frozenset[int]] = (
             _INF, -_INF, frozenset(),
         )
@@ -110,7 +116,7 @@ class EventKernelSimulator(RescueSimulator):
             for team_id in range(config.num_teams):
                 for w in self.faults.breakdown_windows(team_id):
                     k = self._tick_of(w.start_s)
-                    if k < self._num_ticks and float(self._tick_times[k]) < w.end_s:
+                    if k < self._num_ticks and self._tick_times[k] < w.end_s:
                         self._breakdown_triggers.setdefault(k, []).append(team_id)
         self._events = EventHeap()
         self._wake_tokens: dict[int, int] = {}
@@ -150,8 +156,9 @@ class EventKernelSimulator(RescueSimulator):
     def _tick_of(self, t_s: float) -> int:
         """Index of the first grid tick at or after ``t`` (== num_ticks
         when ``t`` falls beyond the window — never processed, as in the
-        seed loop)."""
-        return int(np.searchsorted(self._tick_times, t_s, side="left"))
+        seed loop).  ``t`` is never NaN, and for every other float
+        ``bisect_left`` finds what ``searchsorted(side="left")`` finds."""
+        return bisect_left(self._tick_times, t_s)
 
     # -- closures -------------------------------------------------------------
 
@@ -163,9 +170,9 @@ class EventKernelSimulator(RescueSimulator):
         assert faults is not None
         closed = faults.closed_segments(t)
         bounds = self._closure_bounds
-        i = int(np.searchsorted(bounds, t, side="right"))
-        lo = float(bounds[i - 1]) if i > 0 else -_INF
-        hi = float(bounds[i]) if i < len(bounds) else _INF
+        i = bisect_right(bounds, t)
+        lo = bounds[i - 1] if i > 0 else -_INF
+        hi = bounds[i] if i < len(bounds) else _INF
         self._fault_closed_span = (lo, hi, closed)
         return closed
 
@@ -240,19 +247,16 @@ class EventKernelSimulator(RescueSimulator):
 
     def _observation(self, t: float) -> DispatchObservation:
         a = self._team_array
-        assignable = (a.state_code != 2) & np.isnan(a.down_until_s)
+        down, targets = a.down_until_s, a.target_segment
         teams = [
             TeamView(
                 team_id=i,
-                node=int(a.node[i]),
+                node=a.node[i],
                 state=a.state[i].value,
-                capacity_left=int(a.capacity_left[i]),
-                assignable=bool(assignable[i]),
-                total_pickups=int(a.total_pickups[i]),
-                target_segment=(
-                    None if a.target_segment[i] == _NO_TARGET
-                    else int(a.target_segment[i])
-                ),
+                capacity_left=a.capacity_left[i],
+                assignable=a.state_code[i] != 2 and down[i] != down[i],
+                total_pickups=a.total_pickups[i],
+                target_segment=None if targets[i] == _NO_TARGET else targets[i],
             )
             for i in range(a.num_teams)
         ]
@@ -287,9 +291,68 @@ class EventKernelSimulator(RescueSimulator):
 
     # -- advancement ----------------------------------------------------------
 
+    def _begin_leg(
+        self, team: RescueTeam, route: Route, t: float, state: TeamState, target: int | None
+    ) -> None:
+        """The seed leg at ``t``: node times ``t + cumsum(free flow / mult)``.
+
+        Per-element float division and a left-to-right running sum are the
+        very IEEE operations of the seed's ``np.array([... / mult])`` and
+        ``np.cumsum``, so every node time is bit-equal to the seed's.
+        """
+        t = float(t)
+        last_t, mult = self._mult_at
+        if t != last_t:
+            flood = self.scenario.timeline.flood_level(t)
+            mult = max(0.2, 1.0 - self.config.storm_slowdown * flood)
+            self._mult_at = (t, mult)
+        free_flow = self._free_flow_s
+        elapsed = accumulate([free_flow[s] / mult for s in route.segment_ids])
+        node_times = [t, *[t + x for x in elapsed]]
+        self._team_array.begin_leg(team.team_id, route, node_times, t, state, target)
+
+    def _advance_team(self, team: RescueTeam, t: float) -> None:
+        """The seed ``_advance_team``, reading and writing the team's
+        columns directly; ``wake_s`` is re-derived once at the end."""
+        a = self._team_array
+        i = team.team_id
+        codes = a.state_code
+        if codes[i] == 0:
+            cmd = a.pending_assignment[i]
+            if cmd is not None:
+                self._apply_command(team, cmd, t)
+            if codes[i] == 0:
+                return
+        closed = self._closed
+        while codes[i] != 0:
+            times = a.node_times[i]
+            idx = a.next_node_idx[i]
+            if times is None or idx >= len(times) or times[idx] > t:
+                break
+            seg = a.route_segments[i][idx - 1]
+            if seg in closed:
+                # A closed segment ahead: the seed loop's first step from
+                # here is exactly this mid-leg stall and its detour.
+                super()._advance_team(team, t)
+                break
+            node_t = times[idx]
+            a.node[i] = a.route_nodes[i][idx]
+            idx += 1
+            a.next_node_idx[i] = idx
+            if a.capacity_left[i] > 0:
+                self._pickup_on_segment(team, seg, node_t)
+            if idx >= len(times):
+                self._on_arrival(team, node_t)
+            elif a.pending_assignment[i] is not None and team.is_assignable:
+                self._apply_command(team, a.pending_assignment[i], node_t)
+            elif a.capacity_left[i] == 0 and codes[i] == 1:
+                team.stop()
+                self._route_to_hospital(team, node_t)
+        a.recompute_wake(i)
+
     def _advance_teams(self, t: float) -> None:
         a = self._team_array
-        due: list[int] = [int(i) for i in a.attention(t)]
+        due = a.attention(t)
         if self.faults is not None:
             triggers = self._breakdown_triggers.get(self._current_tick)
             if triggers:
@@ -327,7 +390,7 @@ class EventKernelSimulator(RescueSimulator):
             token = self._wake_tokens.pop(i, None)
             if token is not None:
                 events.cancel(token)
-            wake = float(a.wake_s[i])
+            wake = a.wake_s[i]
             if wake == _INF:
                 continue
             k = self._tick_of(wake) if wake > -_INF else 0
@@ -386,7 +449,7 @@ class EventKernelSimulator(RescueSimulator):
             for team_id in team_ids:
                 events.schedule(k, EventKind.BREAKDOWN, team_id)
         for bound in self._closure_bounds:
-            kb = self._tick_of(float(bound))
+            kb = self._tick_of(bound)
             if kb < self._num_ticks:
                 events.schedule(kb, EventKind.CLOSURE_CHANGE)
         self._team_array.dirty.clear()  # spawn state: everyone idle, wake +inf
@@ -400,6 +463,6 @@ class EventKernelSimulator(RescueSimulator):
             if k >= self._num_ticks:
                 break  # heap is time-ordered; nothing in-window remains
             self._processed = k
-            self._run_tick(float(self._tick_times[k]), k)
+            self._run_tick(self._tick_times[k], k)
         return self._result
 

@@ -1,11 +1,12 @@
 """Deterministic event scheduler for the hybrid event-driven kernel.
 
 A thin priority queue with exactly the ordering the kernel needs:
-events pop in ``(time, kind, team_id)`` order, with a monotonically
-increasing sequence number as the final tie-breaker so insertion order
-decides between otherwise-identical events.  Cancellation and
-rescheduling use tombstones (lazy deletion): a cancelled entry stays in
-the heap until it surfaces, at which point it is silently discarded.
+events pop in ``(time, kind, team_id)`` order, with the event's token
+(a count that rises with every ``schedule``) as the final tie-breaker so
+insertion order decides between otherwise-identical events.
+Cancellation and rescheduling use tombstones (lazy deletion): a
+cancelled entry stays in the heap until it surfaces, at which point it
+is silently discarded.
 Every live event is popped exactly once — the property suite
 (``tests/test_kernel_scheduler.py``) drives randomized
 schedule/cancel/reschedule sequences against a sorted-list oracle to pin
@@ -21,7 +22,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class EventKind(enum.IntEnum):
@@ -42,8 +43,7 @@ class EventKind(enum.IntEnum):
     ARRIVAL = 7
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled occurrence; ``team_id`` is -1 for fleet-wide events."""
 
     time: float
@@ -61,9 +61,9 @@ class EventHeap:
     """
 
     def __init__(self) -> None:
-        #: (time, kind, team_id, seq, token)
-        self._heap: list[tuple[float, int, int, int, int]] = []
-        self._seq = itertools.count()
+        #: (time, kind, team_id, token); tokens count up in schedule order,
+        #: so the token is also the insertion-order tie-breaker.
+        self._heap: list[tuple[float, int, int, int]] = []
         self._tokens = itertools.count()
         #: token -> Event for live (not yet popped, not cancelled) entries.
         self._live: dict[int, Event] = {}
@@ -77,10 +77,9 @@ class EventHeap:
         if time != time:  # NaN would corrupt heap order
             raise ValueError("event time must not be NaN")
         token = next(self._tokens)
-        self._live[token] = Event(float(time), kind, int(team_id))
-        heapq.heappush(
-            self._heap, (float(time), int(kind), int(team_id), next(self._seq), token)
-        )
+        time, team_id = float(time), int(team_id)
+        self._live[token] = Event(time, kind, team_id)
+        heapq.heappush(self._heap, (time, int(kind), team_id, token))
         return token
 
     def cancel(self, token: int) -> bool:
@@ -102,7 +101,7 @@ class EventHeap:
         """The earliest live event, without removing it."""
         heap = self._heap
         while heap:
-            token = heap[0][4]
+            token = heap[0][3]
             event = self._live.get(token)
             if event is not None:
                 return event
@@ -113,7 +112,7 @@ class EventHeap:
         """Remove and return the earliest live event; None when empty."""
         heap = self._heap
         while heap:
-            token = heapq.heappop(heap)[4]
+            token = heapq.heappop(heap)[3]
             event = self._live.pop(token, None)
             if event is not None:
                 self.popped += 1

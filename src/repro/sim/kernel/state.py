@@ -1,13 +1,16 @@
 """Structure-of-arrays team and request state for the event kernel.
 
-:class:`TeamArray` keeps the scan-hot fields of every team in numpy
-columns (position, state code, remaining capacity, wake-up time, repair
-time, leg progress), so per-tick questions — *which teams need attention
-at tick t?*, *is any idle team standing at this segment?* — are single
-vectorized expressions instead of Python loops over ``RescueTeam``
-objects.  Ragged per-team payloads (route node/segment tuples, absolute
-node-arrival times, passenger lists, the deferred dispatch command) stay
-in plain Python lists, exactly as the seed engine keeps them.
+:class:`TeamArray` keeps every team's scalar fields in per-field columns
+(position, state code, remaining capacity, wake-up time, repair time, leg
+progress), so per-tick questions — *which teams need attention at tick
+t?*, *is any idle team standing at this segment?* — are one loop over a
+column instead of attribute walks over ``RescueTeam`` objects.  The
+columns are plain Python lists: a fleet holds 20-100 teams, and the
+kernel reads and writes one team's scalars far more often than it scans
+a column, so list items (no numpy scalar boxing) are the cheap access.
+Ragged per-team payloads (route node/segment tuples, absolute
+node-arrival times, passenger lists, the deferred dispatch command) sit
+in lists beside them, one entry per team.
 
 :class:`TeamArrayView` is a zero-copy per-team facade over one column
 index with the full attribute/method surface of
@@ -24,11 +27,13 @@ completion while broken down, "now" when idle with a deferred command,
 the ``dirty`` set, which the engine drains once per processed tick to
 reschedule wake events — over-eager wake-ups are harmless (the tick body
 is a provable no-op), missed wake-ups are the only hazard, hence the
-conservative rule.
+conservative rule.  Code that writes the columns directly (the kernel's
+advance loop) calls :meth:`TeamArray.recompute_wake` when it is done.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any, Iterable
 
 import numpy as np
@@ -39,6 +44,8 @@ from repro.sim.teams import TeamState
 
 _STATE_CODE = {TeamState.IDLE: 0, TeamState.TO_SEGMENT: 1, TeamState.TO_HOSPITAL: 2}
 _NO_TARGET = -1
+_INF = float("inf")
+_NAN = float("nan")
 
 
 class _PassengerList(list[int]):
@@ -72,21 +79,23 @@ class TeamArray:
             raise ValueError("need at least one team")
         self.capacity = int(capacity)
         self.num_teams = n
-        # -- numpy columns (the vectorized-scan surface) --------------------
-        self.node = np.array(node_list, dtype=np.int64)
-        self.state_code = np.zeros(n, dtype=np.int8)
-        self.capacity_left = np.full(n, capacity, dtype=np.int64)
-        self.next_node_idx = np.zeros(n, dtype=np.int64)
-        self.target_segment = np.full(n, _NO_TARGET, dtype=np.int64)
-        self.leg_start_s = np.zeros(n, dtype=np.float64)
-        self.total_pickups = np.zeros(n, dtype=np.int64)
-        self.down_until_s = np.full(n, np.nan, dtype=np.float64)
-        self.wake_s = np.full(n, np.inf, dtype=np.float64)
+        # -- scalar columns --------------------------------------------------
+        self.node = node_list
+        self.state_code = [0] * n
+        self.capacity_left = [self.capacity] * n
+        self.next_node_idx = [0] * n
+        self.target_segment = [_NO_TARGET] * n
+        self.leg_start_s = [0.0] * n
+        self.total_pickups = [0] * n
+        #: Repair time while broken down, NaN while operational.
+        self.down_until_s = [_NAN] * n
+        self.wake_s = [_INF] * n
         # -- ragged per-team payloads --------------------------------------
         self.state: list[TeamState] = [TeamState.IDLE] * n
         self.route_nodes: list[tuple[int, ...]] = [()] * n
         self.route_segments: list[tuple[int, ...]] = [()] * n
-        self.node_times: list[np.ndarray | None] = [None] * n
+        #: Absolute arrival time per route node of the current leg.
+        self.node_times: list[list[float] | None] = [None] * n
         self.passengers: list[_PassengerList] = [_PassengerList(self, i) for i in range(n)]
         self.pending_assignment: list[object | None] = [None] * n
         #: Teams whose ``wake_s`` changed since the engine last drained
@@ -100,50 +109,77 @@ class TeamArray:
     def view(self, i: int) -> "TeamArrayView":
         return self._views[i]
 
-    def _recompute_wake(self, i: int) -> None:
+    def recompute_wake(self, i: int) -> None:
+        """Re-derive team ``i``'s ``wake_s`` from its columns."""
         down = self.down_until_s[i]
         if down == down:  # not NaN: broken down, wake at repair completion
-            wake = float(down)
-        elif self.state[i] is not TeamState.IDLE:
-            idx = int(self.next_node_idx[i])
+            wake = down
+        elif self.state_code[i]:
+            idx = self.next_node_idx[i]
             times = self.node_times[i]
-            if times is not None and idx < len(times):
-                wake = float(times[idx])
-            else:
-                wake = float("inf")
+            wake = times[idx] if times is not None and idx < len(times) else _INF
         elif self.pending_assignment[i] is not None:
-            wake = float("-inf")  # apply the deferred command this tick
+            wake = -_INF  # apply the deferred command this tick
         else:
-            wake = float("inf")
+            wake = _INF
         if wake != self.wake_s[i]:
             self.wake_s[i] = wake
             self.dirty.add(i)
 
-    def attention(self, t: float) -> np.ndarray:
+    def begin_leg(
+        self,
+        i: int,
+        route: Route,
+        node_times: list[float],
+        t_now: float,
+        state: TeamState,
+        target_segment: int | None,
+    ) -> None:
+        """Start team ``i`` on ``route`` with precomputed ``node_times``
+        (``t_now`` first, one absolute arrival time per route node)."""
+        if state is TeamState.IDLE:
+            raise ValueError("a leg must target a segment or a hospital")
+        if route.src != self.node[i]:
+            raise ValueError(
+                f"route starts at {route.src} but team {i} is at {self.node[i]}"
+            )
+        self.route_nodes[i] = route.nodes
+        self.route_segments[i] = route.segment_ids
+        self.node_times[i] = node_times
+        self.next_node_idx[i] = 1
+        self.state[i] = state
+        self.state_code[i] = _STATE_CODE[state]
+        self.target_segment[i] = _NO_TARGET if target_segment is None else target_segment
+        self.leg_start_s[i] = t_now
+        self.recompute_wake(i)
+
+    def attention(self, t: float) -> list[int]:
         """Ascending indices of teams the tick body must visit at ``t``."""
-        return np.flatnonzero(self.wake_s <= t)
+        return [i for i, wake in enumerate(self.wake_s) if wake <= t]
 
     def serving_ids(self) -> set[int]:
         """Teams driving to a hospital or to an assigned segment — the
-        fleet half of the seed serving-sample census, as one vectorized
-        expression."""
-        mask = (self.state_code == 2) | (
-            (self.state_code == 1) & (self.target_segment != _NO_TARGET)
-        )
-        return set(np.flatnonzero(mask).tolist())
+        fleet half of the seed serving-sample census."""
+        return {
+            i
+            for i, (code, target) in enumerate(zip(self.state_code, self.target_segment))
+            if code == 2 or (code == 1 and target != _NO_TARGET)
+        }
 
     def idle_team_at(self, nodes: tuple[int, int]) -> int | None:
         """First (lowest-id) idle, operable team with spare capacity
-        standing at either endpoint — the seed ``_immediate_pickup`` scan
-        as one vectorized expression."""
-        mask = (
-            (self.state_code == 0)
-            & (self.down_until_s != self.down_until_s)  # NaN == operational
-            & (self.capacity_left > 0)
-            & ((self.node == nodes[0]) | (self.node == nodes[1]))
-        )
-        hits = np.flatnonzero(mask)
-        return int(hits[0]) if hits.size else None
+        standing at either endpoint — the seed ``_immediate_pickup`` scan."""
+        u, v = nodes
+        codes, down, left = self.state_code, self.down_until_s, self.capacity_left
+        for i, node in enumerate(self.node):
+            if (
+                (node == u or node == v)
+                and codes[i] == 0
+                and down[i] != down[i]  # NaN == operational
+                and left[i] > 0
+            ):
+                return i
+        return None
 
 
 class TeamArrayView:
@@ -169,7 +205,7 @@ class TeamArrayView:
 
     @property
     def node(self) -> int:
-        return int(self._a.node[self._i])
+        return self._a.node[self._i]
 
     @node.setter
     def node(self, value: int) -> None:
@@ -183,7 +219,7 @@ class TeamArrayView:
     def state(self, value: TeamState) -> None:
         self._a.state[self._i] = value
         self._a.state_code[self._i] = _STATE_CODE[value]
-        self._a._recompute_wake(self._i)
+        self._a.recompute_wake(self._i)
 
     @property
     def passengers(self) -> _PassengerList:
@@ -198,26 +234,26 @@ class TeamArrayView:
         return self._a.route_segments[self._i]
 
     @property
-    def node_times(self) -> np.ndarray | None:
+    def node_times(self) -> list[float] | None:
         return self._a.node_times[self._i]
 
     @property
     def next_node_idx(self) -> int:
-        return int(self._a.next_node_idx[self._i])
+        return self._a.next_node_idx[self._i]
 
     @next_node_idx.setter
     def next_node_idx(self, value: int) -> None:
         self._a.next_node_idx[self._i] = int(value)
-        self._a._recompute_wake(self._i)
+        self._a.recompute_wake(self._i)
 
     @property
     def target_segment(self) -> int | None:
-        value = int(self._a.target_segment[self._i])
+        value = self._a.target_segment[self._i]
         return None if value == _NO_TARGET else value
 
     @property
     def leg_start_s(self) -> float:
-        return float(self._a.leg_start_s[self._i])
+        return self._a.leg_start_s[self._i]
 
     @leg_start_s.setter
     def leg_start_s(self, value: float) -> None:
@@ -230,11 +266,11 @@ class TeamArrayView:
     @pending_assignment.setter
     def pending_assignment(self, value: object | None) -> None:
         self._a.pending_assignment[self._i] = value
-        self._a._recompute_wake(self._i)
+        self._a.recompute_wake(self._i)
 
     @property
     def total_pickups(self) -> int:
-        return int(self._a.total_pickups[self._i])
+        return self._a.total_pickups[self._i]
 
     @total_pickups.setter
     def total_pickups(self, value: int) -> None:
@@ -242,31 +278,32 @@ class TeamArrayView:
 
     @property
     def down_until_s(self) -> float | None:
-        value = float(self._a.down_until_s[self._i])
+        value = self._a.down_until_s[self._i]
         return None if value != value else value
 
     # -- derived properties (seed formulas) ---------------------------------
 
     @property
     def capacity_left(self) -> int:
-        return self._a.capacity - len(self._a.passengers[self._i])
+        return self._a.capacity_left[self._i]
 
     @property
     def is_driving(self) -> bool:
-        return self._a.state[self._i] is not TeamState.IDLE
+        return self._a.state_code[self._i] != 0
 
     @property
     def is_down(self) -> bool:
-        return self.down_until_s is not None
+        down = self._a.down_until_s[self._i]
+        return down == down
 
     @property
     def is_assignable(self) -> bool:
-        return self._a.state[self._i] is not TeamState.TO_HOSPITAL and not self.is_down
+        return self._a.state_code[self._i] != 2 and not self.is_down
 
     @property
     def arrival_time_s(self) -> float | None:
         times = self._a.node_times[self._i]
-        return None if times is None else float(times[-1])
+        return None if times is None else times[-1]
 
     # -- transitions (seed RescueTeam semantics) -----------------------------
 
@@ -279,24 +316,13 @@ class TeamArrayView:
         state: TeamState,
         target_segment: int | None,
     ) -> None:
-        if state is TeamState.IDLE:
-            raise ValueError("a leg must target a segment or a hospital")
         if len(segment_times_s) != len(route.segment_ids):
             raise ValueError("segment_times_s must align with the route")
-        if route.src != self.node:
-            raise ValueError(
-                f"route starts at {route.src} but team {self._i} is at {self.node}"
-            )
-        a, i = self._a, self._i
-        a.route_nodes[i] = route.nodes
-        a.route_segments[i] = route.segment_ids
-        a.node_times[i] = np.concatenate([[t_now], t_now + np.cumsum(segment_times_s)])
-        a.next_node_idx[i] = 1
-        a.state[i] = state
-        a.state_code[i] = _STATE_CODE[state]
-        a.target_segment[i] = _NO_TARGET if target_segment is None else int(target_segment)
-        a.leg_start_s[i] = float(t_now)
-        a._recompute_wake(i)
+        t_now = float(t_now)
+        node_times = np.concatenate([[t_now], t_now + np.cumsum(segment_times_s)])
+        self._a.begin_leg(
+            self._i, route, node_times.tolist(), t_now, state, target_segment
+        )
 
     def stop(self) -> None:
         a, i = self._a, self._i
@@ -307,17 +333,17 @@ class TeamArrayView:
         a.target_segment[i] = _NO_TARGET
         a.state[i] = TeamState.IDLE
         a.state_code[i] = 0
-        a._recompute_wake(i)
+        a.recompute_wake(i)
 
     def break_down(self, repair_done_s: float) -> None:
         if self.is_driving:
             self.stop()
         self._a.down_until_s[self._i] = float(repair_done_s)
-        self._a._recompute_wake(self._i)
+        self._a.recompute_wake(self._i)
 
     def repair(self) -> None:
-        self._a.down_until_s[self._i] = np.nan
-        self._a._recompute_wake(self._i)
+        self._a.down_until_s[self._i] = _NAN
+        self._a.recompute_wake(self._i)
 
 
 class RequestArray:
@@ -331,10 +357,9 @@ class RequestArray:
 
     def __init__(self, requests: list[RescueRequest]) -> None:
         self.requests = requests
-        self.time_s = np.array([r.time_s for r in requests], dtype=np.float64)
-        if np.any(self.time_s[1:] < self.time_s[:-1]):
+        self.time_s = [float(r.time_s) for r in requests]
+        if any(b < a for a, b in zip(self.time_s, self.time_s[1:])):
             raise ValueError("requests must be sorted by time")
-        self.segment_id = np.array([r.segment_id for r in requests], dtype=np.int64)
         self.cursor = 0
 
     def __len__(self) -> int:
@@ -344,12 +369,12 @@ class RequestArray:
         """Activation time of the next inactive request, if any."""
         if self.cursor >= len(self.requests):
             return None
-        return float(self.time_s[self.cursor])
+        return self.time_s[self.cursor]
 
     def take_due(self, upto_t: float) -> list[RescueRequest]:
         """Pop every request with ``time_s <= upto_t``, in order."""
         start = self.cursor
-        end = int(np.searchsorted(self.time_s, upto_t, side="right"))
+        end = bisect_right(self.time_s, upto_t)
         if end <= start:
             return []
         self.cursor = end

@@ -2,7 +2,7 @@
 
 The seed engine originally rescanned a deque head every tick; it now
 advances an index cursor, and the event kernel pops from a
-``RequestArray`` via ``searchsorted``.  All three must hand requests to
+``RequestArray`` via ``bisect_right``.  All three must hand requests to
 the pending queues in exactly the same order — sorted by request time,
 ties in original input order (Python's stable sort) — for every query
 sequence the engine can produce (non-decreasing tick times).

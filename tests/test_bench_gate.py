@@ -73,6 +73,14 @@ class TestBenchPayload:
         # ratio, self-checked for bit-equality inside the workload).
         assert payload["speedups"]["sentinel_overhead"] <= 1.10
 
+    def test_paper_step_recorded(self, payload):
+        """The engines also run at the paper's 60 s step, next to the
+        0.25 s run, with their own self-checked records and ratios."""
+        for engine in ("seed", "cached", "event"):
+            assert payload["benchmarks"][f"full_tick_{engine}_60s"]["iterations"] == 61
+        assert payload["speedups"]["full_tick_60s"] > 0
+        assert payload["speedups"]["event_kernel_60s"] > 0
+
     def test_table_renders(self, payload):
         table = format_bench_table(payload)
         for name in HOT_PATHS:

@@ -21,11 +21,13 @@ import pytest
 
 from repro.dispatch.nearest import NearestDispatcher
 from repro.dispatch.rescue_ts import RescueTsDispatcher
+from repro.dispatch.schedule import ScheduleDispatcher
 from repro.faults import make_injector
-from repro.perf.routing_cache import DirectRouter
+from repro.perf.routing_cache import DirectRouter, routing_cache
 from repro.sim.engine import RescueSimulator, SimulationConfig
 from repro.sim.kernel import EventKernelSimulator
 from repro.sim.requests import RescueRequest
+from repro.sim.teams import RescueTeam, TeamState
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +137,95 @@ class TestKernelGoldenEquivalence:
             dispatcher=RescueTsDispatcher(),
         )
         _assert_bit_identical(seed_result, kernel_result)
+
+
+    @pytest.mark.parametrize("sim_seed", [0, 3])
+    @pytest.mark.parametrize("profile", ["none", "severe"])
+    def test_schedule_bit_identical(self, kernel_window, profile, sim_seed):
+        """The flood-unaware IP baseline: standby postings keep every team
+        commanded, and its computation delay moves with the demand."""
+        scenario, requests, t0, t1 = kernel_window
+        config = _config(t0, t1, seed=sim_seed)
+
+        def faults():
+            return make_injector(profile, t0, t1, seed=7)
+
+        seed_result = _run(
+            RescueSimulator, scenario, requests, config,
+            dispatcher=ScheduleDispatcher(), faults=faults(),
+            router=DirectRouter(scenario.network),
+        )
+        kernel_result = _run(
+            EventKernelSimulator, scenario, requests, config,
+            dispatcher=ScheduleDispatcher(), faults=faults(),
+        )
+        assert seed_result.num_served > 0
+        _assert_bit_identical(seed_result, kernel_result)
+
+
+#: ``(num_grid_ticks, ticks_processed, events_processed)`` of the kernel on
+#: the window above, as first recorded: which ticks run and which events
+#: pop is part of the kernel's contract, and the perfbench output check
+#: compares these same counters.
+SCHEDULE_COUNTERS = {
+    ("none", 0, 60.0): (121, 121, 121),
+    ("none", 3, 60.0): (121, 121, 121),
+    ("severe", 0, 60.0): (121, 121, 271),
+    ("severe", 3, 60.0): (121, 121, 271),
+    ("none", 0, 10.0): (721, 499, 499),
+}
+
+
+class TestScheduleCounters:
+    @pytest.mark.parametrize("profile, sim_seed, step_s", sorted(SCHEDULE_COUNTERS))
+    def test_counters_pinned(self, kernel_window, profile, sim_seed, step_s):
+        scenario, requests, t0, t1 = kernel_window
+        config = _config(t0, t1, seed=sim_seed, step_s=step_s)
+        sim = EventKernelSimulator(
+            scenario, list(requests), NearestDispatcher(), config,
+            faults=make_injector(profile, t0, t1, seed=7),
+        )
+        sim.run()
+        counters = (sim.num_grid_ticks, sim.ticks_processed, sim.events_processed)
+        assert counters == SCHEDULE_COUNTERS[(profile, sim_seed, step_s)]
+
+
+class TestLegTimes:
+    def test_kernel_node_times_bitwise_equal_seed(self, kernel_window):
+        """The kernel's list-built leg equals the seed's numpy leg bit for
+        bit, over storm times that move the speed multiplier and repeat
+        (the kernel memoizes the multiplier of the last leg's time)."""
+        scenario, requests, t0, t1 = kernel_window
+        network = scenario.network
+        config = _config(t0, t1)
+        seed = RescueSimulator(
+            scenario, list(requests), NearestDispatcher(), config,
+            router=DirectRouter(network),
+        )
+        kernel = EventKernelSimulator(scenario, list(requests), NearestDispatcher(), config)
+        view = kernel._teams[0]
+        router = routing_cache(network)
+        timeline = scenario.timeline
+        times = np.linspace(timeline.storm_start_s - 3_600.0, t1 + 86_400.0, 12)
+        mults = set()
+        rng = np.random.default_rng(4)
+        nodes = network.landmark_ids()
+        legs = 0
+        while legs < 150:
+            src, dst = (int(n) for n in rng.choice(nodes, size=2, replace=False))
+            route = router.route(src, dst)
+            if route is None:
+                continue
+            t = float(rng.choice(times))
+            team = RescueTeam(team_id=0, capacity=5, node=src)
+            seed._begin_leg(team, route, t, TeamState.TO_SEGMENT, None)
+            view.node = src
+            kernel._begin_leg(view, route, t, TeamState.TO_SEGMENT, None)
+            assert team.node_times is not None and view.node_times is not None
+            assert np.asarray(view.node_times).tobytes() == team.node_times.tobytes()
+            mults.add(kernel._mult_at[1])
+            legs += 1
+        assert len(mults) > 3, "the storm times must move the speed multiplier"
 
 
 class TestRewardTraceEquivalence:

@@ -5,9 +5,9 @@ node-by-node advancement, ``stop``, ``break_down``/``repair``, passenger
 boarding and delivery, deferred-command handoff — is applied in random
 order to a :class:`RescueTeam` and to the matching
 :class:`TeamArrayView`, and after *every* op the view must expose exactly
-the object's state (floats bitwise, arrays elementwise).  The columnar
+the object's state (floats and node-time arrays bitwise).  The columnar
 invariants (``capacity_left``, ``state_code``, the ``wake_s`` scheduling
-contract) and the vectorized fleet queries (``attention``,
+contract) and the fleet queries (``attention``,
 ``serving_ids``, ``idle_team_at``) are cross-checked against brute-force
 loops over the same views.
 """
@@ -51,7 +51,8 @@ def _assert_mirrors(team: RescueTeam, view: TeamArrayView) -> None:
         assert view.node_times is None
     else:
         assert view.node_times is not None
-        assert np.array_equal(view.node_times, team.node_times)
+        assert all(type(x) is float for x in view.node_times)
+        assert np.asarray(view.node_times).tobytes() == team.node_times.tobytes()
     assert view.next_node_idx == team.next_node_idx
     assert view.target_segment == team.target_segment
     assert view.leg_start_s == team.leg_start_s
@@ -212,7 +213,7 @@ def test_begin_leg_arrival_times_bitwise_equal_seed_formula():
     team.begin_leg(route, 1.0, times, t0, TeamState.TO_SEGMENT, None)
     view.begin_leg(route, 1.0, times, t0, TeamState.TO_SEGMENT, None)
     assert team.node_times is not None and view.node_times is not None
-    assert team.node_times.tobytes() == view.node_times.tobytes()
+    assert team.node_times.tobytes() == np.asarray(view.node_times).tobytes()
 
 
 def test_validation_mirrors_rescue_team():

@@ -342,6 +342,34 @@ class TestProcessWideWiring:
         assert engine() is None
         assert oracle() is None
 
+    def test_dropped_network_dies_by_reference_counting(self, net):
+        """The network keeps its engines and the engines keep no strong
+        reference back, so dropping a network frees it and its engines
+        with the cyclic collector switched off."""
+        import copy
+        import gc
+        import weakref
+
+        from repro.roadnet.matrix import travel_time_oracle
+
+        dropped = copy.deepcopy(net)
+        nodes = dropped.landmark_ids()
+        closed = frozenset(dropped.segment_ids()[:5])
+        engine = routing_cache(dropped)
+        engine.route(int(nodes[0]), int(nodes[-1]), closed=closed)
+        engine.hospital_field((int(nodes[1]), int(nodes[2])), closed)
+        refs = [
+            weakref.ref(dropped),
+            weakref.ref(engine),
+            weakref.ref(travel_time_oracle(dropped)),
+        ]
+        gc.disable()
+        try:
+            del dropped, engine
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
     def test_direct_router_matches_seed_functions(self, net):
         nodes = net.landmark_ids()
         src, dst = int(nodes[1]), int(nodes[-1])
