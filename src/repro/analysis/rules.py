@@ -17,7 +17,7 @@ REP301   allow-bare-except          no bare ``except:``
 REP302   allow-broad-except         ``except Exception`` needs a pragma
 REP303   allow-service-swallow      service ``except`` re-raises or records
 REP401   allow-unsorted-set         no bare-``set`` iteration in hot paths
-REP402   allow-unordered-merge      shard merges fold in deterministic order
+REP402   allow-unordered-merge      result merges fold in deterministic order
 =======  =========================  ==========================================
 
 Rules are syntactic: they resolve import aliases (``import numpy as np``,
@@ -56,10 +56,10 @@ ORDERING_SCOPE = (
     "repro.dispatch",
 )
 
-#: The sharding layer, whose merge/reduce steps must stay order-
-#: insensitive so the merged snapshot is a pure function of the *set*
-#: of per-shard results (the clean-path bit-identity gate depends on it).
-MERGE_SCOPE = ("repro.service.sharding",)
+#: The parallel-rollout layer, whose merge/reduce steps must stay order-
+#: insensitive so the merged output is a pure function of the *set* of
+#: per-episode results (the parallel == serial gate depends on it).
+MERGE_SCOPE = ("repro.rollouts",)
 
 #: The one module allowed to perform raw file writes: the atomic,
 #: manifest-verified artifact layer from PR 2.
@@ -688,10 +688,10 @@ class UnsortedSetIterationRule(Rule):
 
 _DICT_VIEW_METHODS = frozenset({"items", "keys", "values"})
 
-#: Function-name markers that identify shard reducers.  The rule keys on
-#: the *name* because merge/reduce steps are where per-shard results fold
-#: into one artefact — the exact spot where iteration order leaks into
-#: the output.
+#: Function-name markers that identify result reducers.  The rule keys on
+#: the *name* because merge/reduce steps are where per-episode results
+#: fold into one artefact — the exact spot where iteration order leaks
+#: into the output.
 _MERGE_NAME_MARKERS = ("merge", "reduce")
 
 
@@ -708,14 +708,14 @@ def _is_dict_view_call(node: ast.expr) -> bool:
 
 @dataclass(frozen=True)
 class OrderSensitiveMergeRule(Rule):
-    """REP402: shard merge/reduce steps must not fold in hash order."""
+    """REP402: merge/reduce steps must not fold in hash order."""
 
     rule_id: str = "REP402"
     name: str = "ordering/order-sensitive-merge"
     pragma: str = "allow-unordered-merge"
     description: str = (
         "merge/reduce code iterating a dict view or bare set folds "
-        "per-shard results in hash order; iterate sorted(...) or feed "
+        "partial results in hash order; iterate sorted(...) or feed "
         "the view to an order-insensitive reducer"
     )
     scope: tuple[str, ...] | None = MERGE_SCOPE

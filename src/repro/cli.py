@@ -42,11 +42,7 @@ Commands
     and a fault-composed chaos run, then check the invariants — no tick
     skipped, no exception escaped, served count within the degradation
     factor.  Nonzero exit on any violation; ``--out`` writes the JSON
-    report durably.  A ``shard-*`` profile (``shard-kill``,
-    ``shard-stall``, ``shard-skew``, ``shard-blackout``) runs the same
-    harness on four ingest shards and kills, stalls or skews them in the
-    chaos run, which must also keep failover within budget and the
-    per-shard record accounting exact.  A ``worker-*`` profile (``worker-kill``,
+    report durably.  A ``worker-*`` profile (``worker-kill``,
     ``worker-stall``, ``worker-blackout``) runs the parallel-rollout
     harness: real worker process deaths mid-episode, zero lost episodes,
     poison episodes quarantined with incident records, and the merged
@@ -61,17 +57,10 @@ Commands
     runs the serial path and fails unless the merged outputs are
     bit-identical.
 
-``loadgen``
-    The deterministic million-user load harness: replays synthetic GPS
-    records against the sharded ingest layer on the manual clock and
-    emits per-shard throughput and p50/p95/p99 latency percentiles as a
-    durable ``LOADGEN_<date>.json``.  ``--quick`` runs the CI-sized
-    campaign.
-
 ``service-report``
-    Render the unified service-health report (breaker snapshots,
-    per-shard quarantine reason counts, incident rings, supervisor
-    failovers) from a chaos or loadgen artifact, as text or atomic JSON.
+    Render the unified service-health report (breaker snapshots, ingest
+    counters with quarantine reason counts, incident rings) from a chaos
+    report or training forensics bundle, as text or atomic JSON.
 
 ``lint``
     Run reprolint, the repo-invariant static analyzer (determinism,
@@ -505,7 +494,6 @@ _CHAOS_CAMPAIGNS = (
         ),
         "training chaos",
     ),
-    ("shard-", _service_campaign, _served_line, "shard chaos"),
     ("", _service_campaign, _served_line, "chaos"),
 )
 
@@ -631,40 +619,6 @@ def cmd_rollouts(args) -> int:
             )
             return 1
         print("parallel run bit-identical to serial")
-    return 0
-
-
-def cmd_loadgen(args) -> int:
-    from repro.service.sharding.loadgen import (
-        LoadgenConfig,
-        default_output_path,
-        format_loadgen_report,
-        quick_config,
-        run_loadgen,
-    )
-
-    if args.quick:
-        config = quick_config(seed=args.seed)
-    else:
-        config = LoadgenConfig(
-            num_users=args.users,
-            records_per_user_hour=args.rate,
-            sim_hours=args.hours,
-            num_shards=args.shards,
-            seed=args.seed,
-        )
-    payload = run_loadgen(
-        config, progress=lambda msg: print(msg, file=sys.stderr)
-    )
-    path = args.out or default_output_path(payload)
-    from repro.core.artifacts import atomic_write_json
-
-    atomic_write_json(path, payload)
-    print(format_loadgen_report(payload))
-    print(f"\nwrote {path}")
-    if not payload["reconciliation_ok"]:
-        print("RECONCILIATION BROKEN", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -822,9 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profile", type=str, default="severe",
         help="fault profile composed over env + components "
-             "(none, mild, severe, blackout), a shard profile "
-             "(shard-kill, shard-stall, shard-skew, shard-blackout) to "
-             "run the service harness on four shards, a worker profile "
+             "(none, mild, severe, blackout), a worker profile "
              "(worker-kill, worker-stall, worker-blackout) to run the "
              "parallel-rollout harness, or a training profile "
              "(train-none, train-mild, train-severe, train-blackout) to "
@@ -907,41 +859,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rollouts)
 
     p = sub.add_parser(
-        "loadgen",
-        help="million-user sharded-ingest load harness; "
-             "writes LOADGEN_<date>.json",
-    )
-    p.add_argument(
-        "--users", type=int, default=300_000, help="synthetic user count"
-    )
-    p.add_argument(
-        "--rate", type=float, default=4.0, help="GPS records per user-hour"
-    )
-    p.add_argument(
-        "--hours", type=float, default=1.0, help="simulated hours to replay"
-    )
-    p.add_argument("--shards", type=int, default=8, help="ingest shard count")
-    p.add_argument("--seed", type=int, default=0, help="campaign seed")
-    p.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized campaign (thousands of users, a few ticks)",
-    )
-    p.add_argument(
-        "--out", type=str, default="",
-        help="output path (default: LOADGEN_<date>.json)",
-    )
-    p.set_defaults(func=cmd_loadgen)
-
-    p = sub.add_parser(
         "service-report",
-        help="unified service-health report from a chaos, loadgen, or "
-             "training artifact",
+        help="unified service-health report from a chaos or training "
+             "artifact",
     )
     p.add_argument(
         "input", type=str,
-        help="path to a chaos campaign report (service, worker, shard, or "
-             "train-*), a loadgen artifact, or a training forensics "
-             "bundle's incidents.json",
+        help="path to a chaos campaign report (service, worker, or "
+             "train-*) or a training forensics bundle's incidents.json",
     )
     p.add_argument(
         "--out", type=str, default="",

@@ -4,8 +4,8 @@ Every deterministic subsystem draws its randomness from generators
 spawned as ``np.random.default_rng([seed, TAG, entity...])``.  The
 *tag* is what keeps substreams independent: two subsystems spawning
 with the same tag and overlapping entity ids would draw **correlated**
-randomness — faults that track episode boundaries, load jitter that
-mirrors shard kills — silently corrupting every comparison the paper's
+randomness — faults that track episode boundaries, backoff jitter
+that mirrors worker crashes — silently corrupting every comparison the paper's
 fig09-fig16 reproduction rests on.
 
 This module is therefore the single source of truth for stream tags.
@@ -85,10 +85,7 @@ STREAM_FAULT_PREDICTOR: Final = _register(106, "fault-predictor", "faults")
 STREAM_FAULT_POLICY_LATENCY: Final = _register(107, "fault-policy-latency", "faults")
 STREAM_FAULT_CORRUPT_RECORD: Final = _register(108, "fault-corrupt-record", "faults")
 
-# Shard faults key per shard: (seed, tag, shard id).
-STREAM_SHARD_KILL: Final = _register(109, "shard-kill", "faults")
-STREAM_SHARD_STALL: Final = _register(110, "shard-stall", "faults")
-STREAM_SHARD_SKEW: Final = _register(111, "shard-skew", "faults")
+# 109-111 belonged to the retired shard-fault family; never reuse them.
 
 # Worker faults key per episode: (seed, tag, episode id).
 STREAM_WORKER_CRASH: Final = _register(112, "worker-crash", "faults")
@@ -120,11 +117,7 @@ STREAM_TRAIN_CKPT_BITROT: Final = _register(120, "train-fault-checkpoint-bitrot"
 
 STREAM_TRAIN_REPERTURB: Final = _register(121, "train-recovery-perturb", "training")
 
-# -- load generation (repro.service.sharding.loadgen, PR 6) -------------------
-# Home placement keys (seed, tag); per-tick jitter keys (seed, tag, tick).
-
-STREAM_LOADGEN_HOMES: Final = _register(201, "loadgen-homes", "service")
-STREAM_LOADGEN_JITTER: Final = _register(202, "loadgen-jitter", "service")
+# 201-202 belonged to the retired ingest load generator; never reuse them.
 
 # -- mobility generation (repro.mobility.generator, seed-era) -----------------
 # The trace-dirtying stream predates the registry; its value is frozen

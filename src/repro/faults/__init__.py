@@ -30,17 +30,12 @@ from repro.faults.models import (
     FaultInjector,
     FaultModel,
     GpsDropoutFault,
-    HotShardSkewFault,
     InjectedDispatcherFault,
     NaNGradientFault,
     NULL_TRAINING_PLAN,
     RewardSpikeFault,
     OutageWindow,
     RoadClosureFault,
-    ShardFaultInjector,
-    ShardFaultProfile,
-    ShardKillFault,
-    ShardStallFault,
     TeamBreakdownFault,
     TrainingFaultInjector,
     TrainingFaultPlan,
@@ -55,12 +50,10 @@ from repro.faults.models import (
 )
 from repro.faults.profiles import (
     PROFILES,
-    SHARD_PROFILES,
     TRAIN_PROFILES,
     WORKER_PROFILES,
     FaultProfile,
     get_profile,
-    get_shard_profile,
     get_train_profile,
     get_worker_profile,
     make_injector,
@@ -75,7 +68,6 @@ __all__ = [
     "FaultModel",
     "FaultProfile",
     "GpsDropoutFault",
-    "HotShardSkewFault",
     "InjectedDispatcherFault",
     "NaNGradientFault",
     "NULL_TRAINING_PLAN",
@@ -83,11 +75,6 @@ __all__ = [
     "PROFILES",
     "RewardSpikeFault",
     "RoadClosureFault",
-    "SHARD_PROFILES",
-    "ShardFaultInjector",
-    "ShardFaultProfile",
-    "ShardKillFault",
-    "ShardStallFault",
     "TeamBreakdownFault",
     "TRAIN_PROFILES",
     "TrainingFaultInjector",
@@ -101,7 +88,6 @@ __all__ = [
     "WorkerFaultProfile",
     "WorkerStallFault",
     "get_profile",
-    "get_shard_profile",
     "get_train_profile",
     "get_worker_profile",
     "make_injector",

@@ -35,9 +35,6 @@ from repro.core.streams import (
     STREAM_FAULT_GPS,
     STREAM_FAULT_POLICY_LATENCY,
     STREAM_FAULT_PREDICTOR,
-    STREAM_SHARD_KILL,
-    STREAM_SHARD_SKEW,
-    STREAM_SHARD_STALL,
     STREAM_TRAIN_CKPT_BITROT,
     STREAM_TRAIN_CORRUPT_REPLAY,
     STREAM_TRAIN_NAN_GRAD,
@@ -376,169 +373,6 @@ class ComponentFaultInjector:
         return np.random.default_rng(
             [self.seed, STREAM_FAULT_CORRUPT_RECORD, int(cycle_index), 1]
         )
-
-
-@dataclass(frozen=True)
-class ShardKillFault:
-    """An ingest shard's process dies for sampled windows.
-
-    While dead the shard accepts nothing, drains nothing, and stamps no
-    heartbeat; whatever it had queued is lost with the process.  The
-    supervisor must detect the missing beats and fail the shard's
-    keyspace over to a neighbour.
-    """
-
-    p_affected: float = 0.0
-    kills_per_shard: float = 1.0
-    mean_dead_s: float = 1_800.0
-
-    @property
-    def enabled(self) -> bool:
-        return self.p_affected > 0.0
-
-    def windows_for(self, rng, t0_s, t1_s):
-        return sample_windows(
-            rng, t0_s, t1_s, self.p_affected, self.kills_per_shard, self.mean_dead_s
-        )
-
-
-@dataclass(frozen=True)
-class ShardStallFault:
-    """An ingest shard beats late (GC pauses, hot locks) for windows.
-
-    The shard stays alive and keeps draining, but every heartbeat inside
-    a stall window carries ``stall_s`` of delay.  Sustained stalls past
-    the supervisor's tolerance trigger a failover *with* queue transfer
-    — the process is reachable, so its backlog moves with the keyspace.
-    """
-
-    p_affected: float = 0.0
-    stalls_per_shard: float = 1.0
-    mean_stall_window_s: float = 1_800.0
-    stall_s: float = 30.0
-
-    @property
-    def enabled(self) -> bool:
-        return self.p_affected > 0.0 and self.stall_s > 0.0
-
-    def windows_for(self, rng, t0_s, t1_s):
-        return sample_windows(
-            rng,
-            t0_s,
-            t1_s,
-            self.p_affected,
-            self.stalls_per_shard,
-            self.mean_stall_window_s,
-        )
-
-
-@dataclass(frozen=True)
-class HotShardSkewFault:
-    """One region runs hot: a shard's effective queue capacity shrinks.
-
-    Models skewed load (an evacuation corridor funnelling a city into
-    one geohash): during a skew window the shard's usable queue is
-    ``max_queue // capacity_divisor``, so sustained pressure must shed
-    oldest-first — never raise, never stop beating.
-    """
-
-    p_affected: float = 0.0
-    skews_per_shard: float = 1.0
-    mean_skew_s: float = 3_600.0
-    capacity_divisor: int = 8
-
-    @property
-    def enabled(self) -> bool:
-        return self.p_affected > 0.0 and self.capacity_divisor > 1
-
-    def windows_for(self, rng, t0_s, t1_s):
-        return sample_windows(
-            rng, t0_s, t1_s, self.p_affected, self.skews_per_shard, self.mean_skew_s
-        )
-
-
-@dataclass(frozen=True)
-class ShardFaultProfile:
-    """One parameterisation of the shard-level fault families."""
-
-    name: str
-    kill: ShardKillFault = ShardKillFault()
-    stall: ShardStallFault = ShardStallFault()
-    skew: HotShardSkewFault = HotShardSkewFault()
-
-    @property
-    def is_null(self) -> bool:
-        return not (self.kill.enabled or self.stall.enabled or self.skew.enabled)
-
-
-class ShardFaultInjector:
-    """Deterministic per-shard oracle for kill / stall / skew faults.
-
-    Keyed exactly like :class:`FaultInjector`: each shard's schedule for
-    each family comes from a generator seeded ``(seed, family tag,
-    shard id)``, sampled lazily and cached, so a shard's faults depend
-    only on the seed — never on how many shards exist or in which order
-    they are queried.
-    """
-
-    def __init__(
-        self, profile: ShardFaultProfile, t0_s: float, t1_s: float, seed: int = 0
-    ) -> None:
-        if t1_s <= t0_s:
-            raise ValueError("need t0 < t1")
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-        self.profile = profile
-        self.t0_s = float(t0_s)
-        self.t1_s = float(t1_s)
-        self.seed = int(seed)
-        self._kill: dict[int, tuple[OutageWindow, ...]] = {}
-        self._stall: dict[int, tuple[OutageWindow, ...]] = {}
-        self._skew: dict[int, tuple[OutageWindow, ...]] = {}
-
-    def _rng(self, tag: int, shard_id: int) -> np.random.Generator:
-        return np.random.default_rng([self.seed, tag, int(shard_id)])
-
-    def _windows(
-        self,
-        model: FaultModel,
-        tag: int,
-        shard_id: int,
-        cache: dict[int, tuple[OutageWindow, ...]],
-    ) -> tuple[OutageWindow, ...]:
-        if not model.enabled:
-            return ()
-        if shard_id not in cache:
-            cache[shard_id] = model.windows_for(
-                self._rng(tag, shard_id), self.t0_s, self.t1_s
-            )
-        return cache[shard_id]
-
-    @property
-    def is_null(self) -> bool:
-        return self.profile.is_null
-
-    def killed(self, shard_id: int, t_s: float) -> bool:
-        windows = self._windows(
-            self.profile.kill, STREAM_SHARD_KILL, shard_id, self._kill
-        )
-        return any(w.covers(t_s) for w in windows)
-
-    def stall_s(self, shard_id: int, t_s: float) -> float:
-        windows = self._windows(
-            self.profile.stall, STREAM_SHARD_STALL, shard_id, self._stall
-        )
-        if any(w.covers(t_s) for w in windows):
-            return self.profile.stall.stall_s
-        return 0.0
-
-    def capacity_divisor(self, shard_id: int, t_s: float) -> int:
-        windows = self._windows(
-            self.profile.skew, STREAM_SHARD_SKEW, shard_id, self._skew
-        )
-        if any(w.covers(t_s) for w in windows):
-            return self.profile.skew.capacity_divisor
-        return 1
 
 
 class FaultInjector:

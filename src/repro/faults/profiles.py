@@ -35,15 +35,11 @@ from repro.faults.models import (
     DispatcherFailureFault,
     FaultInjector,
     GpsDropoutFault,
-    HotShardSkewFault,
     NaNGradientFault,
     PolicyLatencyFault,
     PredictorExceptionFault,
     RewardSpikeFault,
     RoadClosureFault,
-    ShardFaultProfile,
-    ShardKillFault,
-    ShardStallFault,
     TeamBreakdownFault,
     TrainingFaultProfile,
     WorkerCorruptResultFault,
@@ -153,53 +149,6 @@ COMPONENT_PROFILES: dict[str, ComponentFaultProfile] = {
 }
 
 
-#: Shard-level fault severities for the sharded ingest topology.  Names
-#: are prefixed ``shard-`` so the chaos CLI can route them to the shard
-#: harness; ``shard-blackout`` composes every family at once and is the
-#: profile the failover acceptance gate runs under.
-SHARD_PROFILES: dict[str, ShardFaultProfile] = {
-    "shard-none": ShardFaultProfile(name="shard-none"),
-    "shard-kill": ShardFaultProfile(
-        name="shard-kill",
-        kill=ShardKillFault(p_affected=1.0, kills_per_shard=1.0, mean_dead_s=3_600.0),
-    ),
-    "shard-stall": ShardFaultProfile(
-        name="shard-stall",
-        stall=ShardStallFault(
-            p_affected=1.0,
-            stalls_per_shard=1.0,
-            mean_stall_window_s=3_600.0,
-            stall_s=30.0,
-        ),
-    ),
-    "shard-skew": ShardFaultProfile(
-        name="shard-skew",
-        skew=HotShardSkewFault(
-            p_affected=1.0,
-            skews_per_shard=1.0,
-            mean_skew_s=2 * 3_600.0,
-            capacity_divisor=64,
-        ),
-    ),
-    "shard-blackout": ShardFaultProfile(
-        name="shard-blackout",
-        kill=ShardKillFault(p_affected=0.75, kills_per_shard=1.0, mean_dead_s=2_700.0),
-        stall=ShardStallFault(
-            p_affected=0.50,
-            stalls_per_shard=1.5,
-            mean_stall_window_s=2_700.0,
-            stall_s=30.0,
-        ),
-        skew=HotShardSkewFault(
-            p_affected=0.50,
-            skews_per_shard=1.0,
-            mean_skew_s=2 * 3_600.0,
-            capacity_divisor=64,
-        ),
-    ),
-}
-
-
 #: Rollout-worker fault severities.  Names are prefixed ``worker-`` so
 #: the chaos CLI can route them to the rollout harness.  ``worker-kill``
 #: is the acceptance profile: real process deaths mid-episode, a slice of
@@ -275,17 +224,6 @@ def get_worker_profile(name: str) -> WorkerFaultProfile:
         known = ", ".join(sorted(WORKER_PROFILES))
         raise ValueError(
             f"unknown worker-fault profile {name!r} (choose from: {known})"
-        ) from None
-
-
-def get_shard_profile(name: str) -> ShardFaultProfile:
-    """Look up a shipped shard-fault profile by name."""
-    try:
-        return SHARD_PROFILES[name]
-    except KeyError:
-        known = ", ".join(sorted(SHARD_PROFILES))
-        raise ValueError(
-            f"unknown shard-fault profile {name!r} (choose from: {known})"
         ) from None
 
 

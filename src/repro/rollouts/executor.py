@@ -4,8 +4,8 @@ Topology: the coordinator owns N forked worker processes, each with a
 *private* task queue and message queue (a worker killed mid-``put`` can
 corrupt only its own channel).  Episode specs fan out to idle workers;
 heartbeats, results and typed errors flow back.  A
-:class:`RolloutSupervisor` — the PR 6 ``ShardSupervisor`` state machine
-re-cut for processes — watches heartbeats on an injectable clock:
+:class:`RolloutSupervisor` — a heartbeat state machine over worker
+processes — watches heartbeats on an injectable clock:
 
 * a worker whose beats stop (crash, stall, livelock) is killed and its
   in-flight episode requeued;

@@ -8,12 +8,7 @@ per-tick deadline slices on a deterministic clock
 (:mod:`repro.service.deadline`), the service loop that wires it all
 (:mod:`repro.service.loop`) and the chaos harness that proves both the
 zero-fault bit-equivalence and the under-fault invariants
-(:mod:`repro.service.chaos`).
-
-Ingest runs on the sharded topology (:mod:`repro.service.sharding`): the
-stream partitioned by keyspace across isolated shards (one by default),
-a supervisor with heartbeat-driven failover and rebalance, a
-million-user load generator, and the unified service-health report
+(:mod:`repro.service.chaos`), and the unified service-health report
 (:mod:`repro.service.report`).
 """
 
@@ -46,18 +41,6 @@ from repro.service.report import (
     format_service_report,
     write_service_report,
 )
-from repro.service.sharding import (
-    GridKeyspace,
-    LoadgenConfig,
-    LoadGenerator,
-    Shard,
-    ShardAssignment,
-    ShardedIngestGuard,
-    ShardingConfig,
-    ShardSupervisor,
-    SupervisorConfig,
-    run_loadgen,
-)
 
 __all__ = [
     "ALL_REASONS",
@@ -72,29 +55,19 @@ __all__ = [
     "DeadlineBudget",
     "DispatchService",
     "GpsRecord",
-    "GridKeyspace",
     "GuardedPredictor",
     "IngestGuard",
     "IngestSchema",
-    "LoadGenerator",
-    "LoadgenConfig",
     "ManualClock",
     "QuarantinedRecord",
     "ResilientDispatcher",
     "SeedVerdict",
     "ServiceConfig",
     "ServiceReport",
-    "Shard",
-    "ShardAssignment",
-    "ShardSupervisor",
-    "ShardedIngestGuard",
-    "ShardingConfig",
-    "SupervisorConfig",
     "ValidatedPositionFeed",
     "build_service_report",
     "extract_service_report",
     "format_service_report",
     "make_record_corrupter",
-    "run_loadgen",
     "write_service_report",
 ]

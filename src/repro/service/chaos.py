@@ -4,25 +4,21 @@ One :class:`ChaosHarness` run executes, per seed, a *triple*:
 
 1. a **plain engine run** of a fresh MobiRescue system — the golden
    baseline;
-2. a **clean service run** (all guards wired, the configured shards,
-   zero faults) of an identically-built system — asserted
-   **bit-identical** to the baseline, so the armour and the sharded
-   ingest demonstrably cost nothing when nothing is broken;
+2. a **clean service run** (all guards wired, zero faults) of an
+   identically-built system — asserted **bit-identical** to the
+   baseline, so the armour demonstrably costs nothing when nothing is
+   broken;
 3. a **chaos run** composing the environment fault profile from
    :mod:`repro.faults` (GPS dropouts, comm loss, breakdowns, closures,
    dispatch-center failures) with the component-level profile
-   (predictor exceptions, policy latency spikes, corrupt-record storms)
-   on one shard — or, under a ``shard-*`` profile, shard kills, stalls
-   and hot-shard skew on four shards.
+   (predictor exceptions, policy latency spikes, corrupt-record storms).
 
 The chaos run is then judged against explicit invariants rather than
-vibes: no exception escaped the service, every dispatch tick completed
-(a dead shard never stalls the loop), every failover re-covered its
-keyspace within the supervisor's budget, the per-shard record ledger
-reconciles exactly, and the served count stayed within
-``degradation_factor`` of the clean run.  Any violation is reported with
-the seed and detail; the CLI turns violations into a nonzero exit so CI
-can gate on them.
+vibes: no exception escaped the service, every dispatch tick completed,
+the ingest record ledger reconciles exactly, and the served count
+stayed within ``degradation_factor`` of the clean run.  Any violation
+is reported with the seed and detail; the CLI turns violations into a
+nonzero exit so CI can gate on them.
 """
 
 from __future__ import annotations
@@ -39,16 +35,11 @@ from repro.core.positions import PopulationFeed
 from repro.core.predictor import RequestPredictor, TrainingSet
 from repro.core.rl_dispatcher import MobiRescueDispatcher, make_agent
 from repro.data import DatasetSpec, build_dataset
-from repro.faults.models import ComponentFaultInjector, FaultInjector, ShardFaultInjector
-from repro.faults.profiles import (
-    get_component_profile,
-    get_profile,
-    get_shard_profile,
-)
+from repro.faults.models import ComponentFaultInjector, FaultInjector
+from repro.faults.profiles import get_component_profile, get_profile
 from repro.mobility.cleaning import clean_trace
 from repro.mobility.mapmatch import map_match
 from repro.service.loop import DispatchService, ServiceConfig
-from repro.service.sharding.supervisor import ShardingConfig
 from repro.sim.engine import RescueSimulator, SimulationConfig, SimulationResult
 from repro.sim.requests import remap_to_operable, requests_from_rescues
 from repro.weather.storms import SECONDS_PER_DAY, day_index
@@ -58,11 +49,10 @@ logger = logging.getLogger("repro.service.chaos")
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """One chaos campaign: profile, seeds, window, topology, pass criteria.
+    """One chaos campaign: profile, seeds, window, pass criteria.
 
     ``profile`` names an environment/component profile (``mild``,
-    ``severe``, ...) run on one shard, or a ``shard-*`` profile run on
-    four shards with no environment faults.
+    ``severe``, ...).
     """
 
     profile: str = "severe"
@@ -78,21 +68,14 @@ class ChaosConfig:
 
     def __post_init__(self) -> None:
         # Each lookup raises on an unknown name.
-        if self.sharded:
-            get_shard_profile(self.profile)
-        else:
-            get_profile(self.profile)
-            get_component_profile(self.profile)
+        get_profile(self.profile)
+        get_component_profile(self.profile)
         if not self.seeds:
             raise ValueError("need at least one seed")
         if self.window_days <= 0:
             raise ValueError("evaluation window must be positive")
         if self.degradation_factor < 1.0:
             raise ValueError("degradation factor must be >= 1")
-
-    @property
-    def sharded(self) -> bool:
-        return self.profile.startswith("shard-")
 
 
 @dataclass
@@ -106,7 +89,6 @@ class SeedVerdict:
     equivalence_ok: bool
     ticks_ok: bool
     no_escape: bool
-    failover_budget_ok: bool
     reconciliation_ok: bool
     degradation_ok: bool
     violations: list[str]
@@ -127,7 +109,6 @@ class SeedVerdict:
             "equivalence_ok": self.equivalence_ok,
             "ticks_ok": self.ticks_ok,
             "no_escape": self.no_escape,
-            "failover_budget_ok": self.failover_budget_ok,
             "reconciliation_ok": self.reconciliation_ok,
             "degradation_ok": self.degradation_ok,
             "violations": list(self.violations),
@@ -171,7 +152,6 @@ class ChaosHarness:
         self._matched = map_match(cleaned, self.scenario.network)
         self.known_persons = frozenset(int(p) for p in self._matched.persons())
 
-        self.sharding = ShardingConfig(num_shards=4 if cfg.sharded else 1)
         day = day_index(self.scenario.timeline, cfg.eval_day)
         self.t0_s = day * SECONDS_PER_DAY
         self.t1_s = (day + cfg.window_days) * SECONDS_PER_DAY
@@ -211,12 +191,8 @@ class ChaosHarness:
 
     def _service(self, seed: int, with_faults: bool) -> DispatchService:
         cfg = self.config
-        faults = component_faults = shard_faults = None
-        if with_faults and cfg.sharded:
-            shard_faults = ShardFaultInjector(
-                get_shard_profile(cfg.profile), self.t0_s, self.t1_s, seed=seed
-            )
-        elif with_faults:
+        faults = component_faults = None
+        if with_faults:
             faults = FaultInjector(
                 get_profile(cfg.profile), self.t0_s, self.t1_s, seed=seed
             )
@@ -229,10 +205,8 @@ class ChaosHarness:
             self._make_dispatcher(seed),
             self._sim_config(seed),
             service=cfg.service,
-            sharding=self.sharding,
             faults=faults,
             component_faults=component_faults,
-            shard_faults=shard_faults,
             known_persons=self.known_persons,
         )
 
@@ -281,7 +255,7 @@ class ChaosHarness:
         clean_served = baseline.num_served
         chaos_served = 0
         chaos_summary: dict[str, object] = {}
-        ticks_ok = failover_budget_ok = reconciliation_ok = degradation_ok = True
+        ticks_ok = reconciliation_ok = degradation_ok = True
         if chaos_report is not None:
             chaos_served = chaos_report.result.num_served
             chaos_summary = chaos_report.summary()
@@ -291,20 +265,11 @@ class ChaosHarness:
                     f"seed {seed}: chaos run skipped ticks "
                     f"({chaos_report.ticks_completed}/{chaos_report.ticks_expected})"
                 )
-            supervisor = chaos_service.supervisor
-            failover_budget_ok = supervisor.within_failover_budget()
-            if not failover_budget_ok:
-                record_violation(
-                    f"seed {seed}: keyspace went uncovered for "
-                    f"{supervisor.max_uncovered_cycles()} cycles "
-                    f"(budget {supervisor.config.failover_budget_cycles})"
-                )
             reconciliation_ok = chaos_service.ingest_guard.reconciles()
             if not reconciliation_ok:
                 record_violation(
-                    f"seed {seed}: per-shard record accounting does not "
-                    "reconcile (accepted+transferred != "
-                    "drained+queued+shed+transferred_out+lost)"
+                    f"seed {seed}: ingest record accounting does not "
+                    "reconcile (accepted != drained+queued+shed)"
                 )
             if clean_served > 0:
                 degradation_ok = (
@@ -325,7 +290,6 @@ class ChaosHarness:
             equivalence_ok=equivalence_ok,
             ticks_ok=ticks_ok,
             no_escape=chaos_report is not None,
-            failover_budget_ok=failover_budget_ok,
             reconciliation_ok=reconciliation_ok,
             degradation_ok=degradation_ok,
             violations=violations,
@@ -352,12 +316,10 @@ class ChaosHarness:
         cfg = self.config
         header = {
             "profile": cfg.profile,
-            "env_profile": "none" if cfg.sharded else cfg.profile,
             "seeds": list(cfg.seeds),
             "population_size": cfg.population_size,
             "num_teams": cfg.num_teams,
             "window_days": cfg.window_days,
             "degradation_factor": cfg.degradation_factor,
-            "num_shards": self.sharding.num_shards,
         }
         return run_campaign(cfg.seeds, self.run_seed, header, out_path, progress)

@@ -19,7 +19,7 @@ the clean path.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -29,7 +29,6 @@ from repro.service.records import GpsRecord, IngestSchema, QuarantinedRecord
 
 if TYPE_CHECKING:
     from repro.faults.models import ComponentFaultInjector
-    from repro.service.sharding.router import ShardedIngestGuard
 
 #: Chaos hook: rewrites a tick's record batch (corrupt-record storms).
 RecordCorrupter = Callable[[list[GpsRecord], float], list[GpsRecord]]
@@ -105,48 +104,6 @@ class IngestGuard:
         self.accepted += 1
         return True
 
-    def shed_to(self, capacity: int) -> int:
-        """Shed oldest-first down to ``capacity`` queued records.
-
-        The sharding layer uses this to enforce a *temporarily* reduced
-        capacity (hot-shard skew) without rebuilding the guard; returns
-        the number of records shed.
-        """
-        dropped = 0
-        while len(self._queue) > max(0, capacity):
-            self._queue.popleft()
-            self.shed += 1
-            dropped += 1
-        return dropped
-
-    def requeue(self, records: Iterable[GpsRecord]) -> int:
-        """Re-enqueue already-validated records (shard failover transfer).
-
-        The records were accepted (and counted) by another guard, so they
-        are *not* re-validated and do not increment ``accepted`` here;
-        capacity is still enforced oldest-first.  Returns the number of
-        records taken in.
-        """
-        taken = 0
-        for record in records:
-            if len(self._queue) >= self.max_queue:
-                self._queue.popleft()
-                self.shed += 1
-            self._queue.append(record)
-            taken += 1
-        return taken
-
-    def take_queue(self) -> list[GpsRecord]:
-        """Remove every queued record *without* counting a drain.
-
-        Failover paths use this: a transferred (or process-death-lost)
-        record was never delivered to a snapshot, so it must not inflate
-        ``drained`` — the caller accounts for it as transferred or lost.
-        """
-        out = list(self._queue)
-        self._queue.clear()
-        return out
-
     def drain(self) -> list[GpsRecord]:
         """Consume every queued record, oldest first."""
         out = list(self._queue)
@@ -154,14 +111,12 @@ class IngestGuard:
         self.drained += len(out)
         return out
 
-    def snapshot(self, now_s: float | None = None) -> dict[int, int]:
+    def snapshot(self) -> dict[int, int]:
         """Drain the queue into a position snapshot ``{person: landmark}``.
 
         Later records win per person; per-person timestamps are monotone
         by construction (ordering violations were quarantined), so the
-        last record is always the newest fix.  ``now_s`` is accepted for
-        interface parity with the sharded guard (which needs it to stamp
-        shard heartbeats) and is ignored here.
+        last record is always the newest fix.
         """
         positions: dict[int, int] = {}
         for record in self.drain():
@@ -175,6 +130,11 @@ class IngestGuard:
     @property
     def tracked_persons(self) -> int:
         return len(self._last_t)
+
+    def reconciles(self) -> bool:
+        """Check the ledger exactly: every accepted record was drained,
+        is still queued, or was shed."""
+        return self.accepted == self.drained + self.queued + self.shed
 
     def stats(self) -> dict[str, object]:
         """JSON-ready counters for run reports."""
@@ -251,7 +211,7 @@ class ValidatedPositionFeed:
     def __init__(
         self,
         inner: PositionFeed,
-        guard: "IngestGuard | ShardedIngestGuard",
+        guard: IngestGuard,
         network: RoadNetwork,
         clock: Callable[[], float] | None = None,
         deadline_slice_s: float | None = None,
@@ -294,7 +254,7 @@ class ValidatedPositionFeed:
             records = self.corrupter(records, t_s)
         for record in records:
             self.guard.submit(record, now_s=t_s)
-        positions = self.guard.snapshot(t_s)
+        positions = self.guard.snapshot()
         if start is not None and self._clock is not None:
             elapsed = self._clock() - start
             if (

@@ -198,7 +198,8 @@ class TestChaosProfiles:
         "profile, known",
         [
             ("sever", "severe"),
-            ("shard-typo", "shard-blackout"),
+            # A deleted profile name is rejected like any typo.
+            ("shard-blackout", "severe"),
             ("train-typo", "train-severe"),
             ("worker-typo", "worker-kill"),
         ],

@@ -260,7 +260,7 @@ class TestValidatedPositionFeed:
 
 
 class TestGuardBoundsAndTransfers:
-    """PR 6 satellite: bounded per-person state and the failover verbs."""
+    """Bounded per-person state and the exact ingest ledger."""
 
     def _open_schema(self):
         return IngestSchema(width_m=1_000.0, height_m=800.0)
@@ -303,47 +303,34 @@ class TestGuardBoundsAndTransfers:
 
         assert run() == run()
 
-    def test_take_queue_does_not_count_as_drained(self):
-        guard = IngestGuard(self._open_schema())
-        guard.submit(rec(pid=1, t=10.0), now_s=10.0)
-        guard.submit(rec(pid=2, t=10.0), now_s=10.0)
-        taken = guard.take_queue()
-        assert [r.person_id for r in taken] == [1, 2]
-        assert guard.queued == 0
-        assert guard.drained == 0  # a transfer/kill is not a snapshot
-
-    def test_requeue_skips_validation_and_accept_counting(self):
-        donor = IngestGuard(self._open_schema())
-        donor.submit(rec(pid=1, t=10.0), now_s=10.0)
-        records = donor.take_queue()
-        receiver = IngestGuard(self._open_schema())
-        assert receiver.requeue(records) == 1
-        assert receiver.accepted == 0  # the donor already counted it
-        assert receiver.queued == 1
-        assert receiver.snapshot() == {1: 10}
-
-    def test_requeue_respects_capacity(self):
-        receiver = IngestGuard(self._open_schema(), max_queue=2)
-        records = [rec(pid=i, t=10.0) for i in range(1, 5)]
-        # All four are taken in (the transfer accounting needs the true
-        # count), but capacity sheds the two oldest at the receiver.
-        assert receiver.requeue(records) == 4
-        assert receiver.queued == 2
-        assert receiver.shed == 2
-        assert [r.person_id for r in receiver.drain()] == [3, 4]
-
-    def test_shed_to_drops_oldest_first_and_counts(self):
-        guard = IngestGuard(self._open_schema())
-        for i in range(1, 6):
-            guard.submit(rec(pid=i, t=10.0), now_s=10.0)
-        assert guard.shed_to(2) == 3
-        assert guard.shed == 3
-        assert [r.person_id for r in guard.drain()] == [4, 5]
-
-    def test_snapshot_accepts_optional_timestamp(self):
-        guard = IngestGuard(self._open_schema())
-        guard.submit(rec(pid=1, t=10.0), now_s=10.0)
-        assert guard.snapshot(123.0) == {1: 10}  # interface parity with router
+    def test_saturation_never_raises_and_reconciles(self):
+        """Property-style saturation: random malformed fixes, a queue far
+        smaller than the offered load, and periodic snapshots; every
+        offered record still has exactly one fate."""
+        rng = np.random.default_rng(42)
+        guard = IngestGuard(self._open_schema(), max_queue=20)
+        offered = 0
+        quarantined = 0
+        for tick in range(10):
+            t = 50.0 * (tick + 1)
+            for pid in range(1, 120):
+                x = float(rng.uniform(0.0, 1_000.0))
+                y = float(rng.uniform(0.0, 800.0))
+                if rng.random() < 0.05:  # a few malformed fixes
+                    x = float("nan")
+                offered += 1
+                if not guard.submit(rec(pid=pid, t=t, x=x, y=y), now_s=t):
+                    quarantined += 1
+                assert guard.queued <= 20
+            if tick % 3 == 2:
+                guard.snapshot()
+        assert offered == guard.accepted + quarantined
+        assert guard.shed > 0 and guard.drained > 0 and guard.queued > 0
+        assert guard.reconciles()
+        assert guard.stats()["rejected_total"] == quarantined
+        # The check is exact: one miscounted record breaks it.
+        guard.shed += 1
+        assert not guard.reconciles()
 
 
 # -- the shared batch validators (satellite: loud cleaning) --------------------

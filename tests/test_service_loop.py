@@ -246,9 +246,8 @@ class TestServiceConfig:
 
 class TestChaosConfig:
     def test_profiles_validated_up_front(self):
-        assert ChaosConfig(profile="shard-kill").sharded
-        assert not ChaosConfig(profile="mild").sharded
-        for bad in ("sever", "shard-typo"):
+        ChaosConfig(profile="mild")
+        for bad in ("sever", "shard-kill"):
             with pytest.raises(ValueError):
                 ChaosConfig(profile=bad)
 
@@ -309,8 +308,7 @@ class TestChaosInvariants:
         assert len(chaos["ingest"]["rejected_by_reason"]) >= 3
 
     def test_pinned_served_and_rejected_counts(self, chaos_verdict):
-        """The counts this fixture produced before ingest went through the
-        sharded guard."""
+        """Pinned counts: a change here is a change in service behaviour."""
         verdict, _ = chaos_verdict
         assert verdict.requests == 6
         assert (verdict.clean_served, verdict.chaos_served) == (5, 4)

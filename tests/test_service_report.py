@@ -1,5 +1,5 @@
-"""Unified service-report tests: building, extracting from both
-artifact shapes, rendering, and atomic persistence."""
+"""Unified service-report tests: building, extracting from a chaos
+campaign, rendering, and atomic persistence."""
 
 from __future__ import annotations
 
@@ -19,23 +19,7 @@ INGEST = {
     "accepted": 900,
     "shed": 40,
     "rejected_total": 60,
-    "lost": 5,
-    "per_shard": [
-        {
-            "shard": 0,
-            "alive": True,
-            "rejected_by_reason": {"non_finite_value": 2},
-            "quarantine_kept": 2,
-            "quarantine_dropped": 0,
-        },
-        {
-            "shard": 1,
-            "alive": False,
-            "rejected_by_reason": {},
-            "quarantine_kept": 0,
-            "quarantine_dropped": 0,
-        },
-    ],
+    "rejected_by_reason": {"out_of_range_position": 58, "non_finite_value": 2},
 }
 
 BREAKERS = {
@@ -44,31 +28,16 @@ BREAKERS = {
 }
 
 
-def loadgen_payload():
-    return {
-        "format": "repro-loadgen",
-        "totals": {"accepted": 900, "shed": 40, "quarantined": 60, "lost": 5},
-        "per_shard": INGEST["per_shard"],
-        "supervisor": {
-            "failovers": [{"from_shard": 1}],
-            "rebalances": [],
-            "max_uncovered_cycles": 1,
-            "within_failover_budget": True,
-        },
-    }
-
-
 def chaos_campaign():
     return {
-        "profile": "shard-blackout",
+        "profile": "severe",
         "runs": [
             {
                 "chaos": {
                     "ingest": INGEST,
                     "predictor_breaker": BREAKERS["predictor"],
                     "policy_breaker": BREAKERS["policy"],
-                    "service_incident_kinds": {"shard_failover": 3},
-                    "supervisor": {"failovers": [], "rebalances": []},
+                    "service_incident_kinds": {"predictor_breaker_open": 3},
                 }
             }
         ],
@@ -83,29 +52,15 @@ class TestBuild:
         assert report["format"] == SERVICE_REPORT_FORMAT
         assert report["source"] == "unit"
         assert report["incident_kinds"] == {"a": 2, "b": 1}
-        rows = report["quarantine_by_shard"]
-        assert [row["shard"] for row in rows] == [0, 1]
-        assert rows[1]["alive"] is False
-
-    def test_unsharded_ingest_yields_no_shard_rows(self):
-        report = build_service_report("unit", {"accepted": 5})
-        assert report["quarantine_by_shard"] == []
+        assert report["ingest"]["rejected_by_reason"]["out_of_range_position"] == 58
 
 
 class TestExtract:
-    def test_from_loadgen_artifact(self):
-        report = extract_service_report(loadgen_payload())
-        assert report["source"] == "loadgen"
-        assert report["ingest"]["accepted"] == 900
-        assert report["ingest"]["rejected_total"] == 60
-        assert len(report["quarantine_by_shard"]) == 2
-        assert report["supervisor"]["within_failover_budget"] is True
-
     def test_from_chaos_campaign(self):
         report = extract_service_report(chaos_campaign())
-        assert report["source"] == "chaos:shard-blackout"
+        assert report["source"] == "chaos:severe"
         assert report["breakers"]["predictor"]["state"] == "open"
-        assert report["incident_kinds"] == {"shard_failover": 3}
+        assert report["incident_kinds"] == {"predictor_breaker_open": 3}
 
     def test_chaos_run_falls_back_to_clean_summary(self):
         campaign = chaos_campaign()
@@ -126,11 +81,13 @@ class TestRenderAndPersist:
         report = extract_service_report(chaos_campaign())
         text = format_service_report(report)
         assert "breaker predictor: state=open failures=9 trips=2" in text
-        assert "ingest: accepted=900" in text
-        assert "shard 0 [up]: non_finite_value=2" in text
-        assert "shard 1 [DOWN]: clean" in text
-        assert "incidents: shard_failover=3" in text
-        assert "supervisor: failovers=0" in text
+        assert "ingest: accepted=900 shed=40 rejected=60" in text
+        assert "quarantine: non_finite_value=2, out_of_range_position=58" in text
+        assert "incidents: predictor_breaker_open=3" in text
+
+    def test_clean_ingest_renders_a_clean_quarantine_line(self):
+        text = format_service_report(build_service_report("unit", {"accepted": 5}))
+        assert "quarantine: clean" in text
 
     def test_write_service_report_is_loadable(self, tmp_path):
         report = build_service_report("unit", INGEST, breakers=BREAKERS)

@@ -42,7 +42,7 @@ EXPECTED = {
     "exc_hygiene.py": ["REP301", "REP302", "REP302"],
     "ord_set_iteration.py": ["REP401", "REP401", "REP401"],
     "rollout_worker_ident.py": ["REP403"] * 3,
-    "shard_merge.py": ["REP402"] * 4,
+    "rollout_merge.py": ["REP402"] * 4,
     "svc_swallow.py": ["REP303", "REP303"],
     "pragma_suppression.py": ["REP102"],
     "pragma_standalone.py": [],
